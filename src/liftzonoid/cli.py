@@ -7,9 +7,10 @@ through counter-based per-task streams, so output is byte-identical
 across runs and across --workers values.
 
 Exit codes: 0 success, 1 malformed input, 2 domain condition (outside
-support, zero mass, mean point, no solution), 3 verification failure.
+support, zero mass, mean point, no solution), 3 verification failure,
+141 stdout closed by its reader (as a shell reports death by SIGPIPE).
 Log verbosity comes from the LIFTZONOID_LOG environment variable
-(error, warn, info, debug).
+(error, warn or warning, info, debug).
 """
 
 from __future__ import annotations
@@ -84,6 +85,7 @@ _INPUT_ERRORS = (
     IsADirectoryError,
 )
 _DOMAIN_ERRORS = (OutsideSupport, ZeroMass, MeanPoint, NoSolution, NoDual, NotConverged)
+_EXIT_BROKEN_PIPE = 141
 
 _GAUSS_FNS = {
     "pdf": normal_pdf,
@@ -136,7 +138,7 @@ def _emit(cfg: RunConfig, text: str) -> None:
         with open(cfg.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     else:
-        print(text)
+        print(text, flush=True)  # a closed pipe must fail here, not at exit
 
 
 def _emit_dict(cfg: RunConfig, payload: dict) -> None:
@@ -376,6 +378,7 @@ def _configure_logging() -> None:
     levels = {
         "error": logging.ERROR,
         "warn": logging.WARNING,
+        "warning": logging.WARNING,
         "info": logging.INFO,
         "debug": logging.DEBUG,
     }
@@ -397,11 +400,14 @@ def main(argv=None) -> int:
         seed = int(getattr(args, "seed", 0))
         if not 0 <= seed < 2**64:
             raise InputFormatError(f"--seed {seed} outside the unsigned 64-bit range")
+        samples = int(getattr(args, "samples", 1_000_000))
+        if samples < 1:
+            raise InputFormatError(f"--samples {samples} must be at least 1")
         cfg = RunConfig(
             measure_path=getattr(args, "measure", None),
             gaussian_path=getattr(args, "gaussian", None),
             seed=seed,
-            samples=int(getattr(args, "samples", 1_000_000)),
+            samples=samples,
             workers=max(1, int(getattr(args, "workers", 1))),
             fmt=getattr(args, "format", "json"),
             out=getattr(args, "out", None),
@@ -417,6 +423,17 @@ def main(argv=None) -> int:
     except LiftZonoidError as exc:  # remaining package errors are input-shaped
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # the reader is gone; point stdout at devnull so that the flush at
+        # interpreter exit cannot raise a second time
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(devnull, sys.stdout.fileno())
+        except (OSError, ValueError):  # stdout is not backed by a descriptor
+            pass
+        finally:
+            os.close(devnull)
+        return _EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

@@ -23,9 +23,9 @@ class Tolerances:
     mass_roundtrip: float = 1e-10
     # relative rank cutoff for the centered atom matrix (pivoted QR)
     rank: float = 1e-10
-    # LP phase-one / outside-hull detection
+    # a depth LP optimum at or below this puts the point outside the hull
     lp_feasibility: float = 1e-9
-    # a reduced cost this close to zero flags dual degeneracy
+    # a nonbasic reduced cost this close to zero flags dual degeneracy
     dual_degenerate: float = 1e-9
     # points within this distance of the mean are treated as the mean
     mean_radius: float = 1e-10

@@ -5,11 +5,14 @@ region; equivalently the optimal value of
 
     max sum(delta_i)  s.t.  sum_i delta_i (x_i - x) = 0,  0 <= delta_i <= w_i,
 
-solved here with the in-package bounded-variable simplex. The optimal
-delta, normalized by its total mass, is a convex representation
-gamma of x with max_i gamma_i / w_i = 1/depth. The simplex multipliers y
-on the balance rows give the supporting direction of the trimmed region
-at x: u = -y/||y||.
+solved here with the in-package bounded dual simplex, whose line searches
+run on the LP dual, the lift-zonoid support function
+min_v E(1 + <v, X - x>)_+. The optimal delta, normalized by its total
+mass, is a convex representation gamma of x with max_i gamma_i / w_i =
+1/depth. All but at most d atoms sit at 0 or at full weight, so the
+certificate packs gamma into a bit mask plus the fractional entries. The
+simplex multipliers y on the balance rows give the supporting direction
+of the trimmed region at x: u = -y/||y||.
 
 A brute-force oracle (bisection over alpha with grid support checks and
 exact membership feasibility solved by an unrelated LP backend) is kept
@@ -18,7 +21,7 @@ deliberately independent of the simplex path for cross-validation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -42,23 +45,53 @@ class DepthStatus(str, Enum):
     MEAN = "mean"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
+class _PackedLoading:
+    """delta / mass; delta is w on a packed mask, value at index, else 0."""
+
+    weights: np.ndarray
+    full: np.ndarray  # np.packbits of delta == weights
+    index: np.ndarray
+    value: np.ndarray
+    mass: float
+
+    @classmethod
+    def pack(cls, weights: np.ndarray, delta: np.ndarray, mass: float) -> "_PackedLoading":
+        full = delta == weights
+        index = np.flatnonzero((delta != 0.0) & ~full)
+        return cls(weights, np.packbits(full), index, delta[index], mass)
+
+    def unpack(self) -> np.ndarray:
+        full = np.unpackbits(self.full, count=self.weights.size).view(bool)
+        delta = np.where(full, self.weights, 0.0)
+        delta[self.index] = self.value
+        return delta / self.mass
+
+
+@dataclass(frozen=True, eq=False, slots=True)
 class DepthCertificate:
     """Depth value with its witnessing data.
 
     ``atom_weights`` is the convex representation gamma of the query
-    point (None when outside); ``dual_direction`` supports the trimmed
-    region at the query point (None at the mean or outside);
-    ``max_weight_ratio`` is max_i gamma_i / w_i = 1/depth.
+    point (None when outside), rebuilt on each access; ``dual_direction``
+    supports the trimmed region at the query point (None at the mean or
+    outside); ``max_weight_ratio`` is max_i gamma_i / w_i = 1/depth.
+    ``iterations`` counts dual simplex basis changes and ``bound_flips``
+    the atoms the long-step ratio test moved between 0 and full weight.
     """
 
     depth: float
     status: DepthStatus
-    atom_weights: np.ndarray | None
     dual_direction: Direction | None
     max_weight_ratio: float | None
     iterations: int
+    bound_flips: int
     dual_degenerate: bool
+    loading: _PackedLoading | None = field(default=None, repr=False)
+
+    @property
+    def atom_weights(self) -> np.ndarray | None:
+        return None if self.loading is None else self.loading.unpack()
 
     def to_json_dict(self) -> dict:
         return {
@@ -69,17 +102,18 @@ class DepthCertificate:
             else self.dual_direction.vec.tolist(),
             "max_weight_ratio": self.max_weight_ratio,
             "iterations": self.iterations,
+            "bound_flips": self.bound_flips,
             "dual_degenerate": self.dual_degenerate,
         }
 
 
 def check_affine_span(mu: EmpiricalMeasure) -> None:
     """Raise DegenerateMeasure unless the atoms affinely span the space."""
-    centered = (mu.points - mu.mean()).T  # (d, n)
-    col_norms = np.linalg.norm(centered, axis=0)
-    top = float(col_norms.max()) if col_norms.size else 0.0
-    if top == 0.0:
+    # compared exactly: the mean of coincident atoms may round away from them
+    if np.all(mu.points == mu.points[0]):
         raise DegenerateMeasure("all atoms coincide; no affine span")
+    centered = (mu.points - mu.mean()).T  # (d, n)
+    top = float(np.linalg.norm(centered, axis=0).max())
     r = scipy.linalg.qr(centered, mode="r", pivoting=True)[0]
     diag = np.abs(np.diag(r))
     rank = int(np.sum(diag > DEFAULT_TOLS.rank * top))
@@ -101,11 +135,12 @@ def zonoid_depth(mu: EmpiricalMeasure, point) -> DepthCertificate:
         return DepthCertificate(
             depth=1.0,
             status=DepthStatus.MEAN,
-            atom_weights=np.array(mu.weights),
             dual_direction=None,
             max_weight_ratio=1.0,
             iterations=0,
+            bound_flips=0,
             dual_degenerate=False,
+            loading=_PackedLoading.pack(mu.weights, mu.weights, 1.0),
         )
     n = mu.size
     A = (mu.points - x).T  # (d, n)
@@ -117,15 +152,15 @@ def zonoid_depth(mu: EmpiricalMeasure, point) -> DepthCertificate:
         return DepthCertificate(
             depth=0.0,
             status=DepthStatus.OUTSIDE,
-            atom_weights=None,
             dual_direction=None,
             max_weight_ratio=None,
             iterations=res.iterations,
+            bound_flips=res.bound_flips,
             dual_degenerate=res.dual_degenerate,
         )
     alpha = min(alpha, 1.0)
-    gamma = np.maximum(res.x, 0.0)
-    gamma = gamma / gamma.sum()
+    delta = np.maximum(res.x, 0.0)
+    mass = float(delta.sum())
     y = res.dual
     norm_y = float(np.linalg.norm(y))
     direction = Direction(-y / norm_y) if norm_y > 1e-14 else None
@@ -137,11 +172,12 @@ def zonoid_depth(mu: EmpiricalMeasure, point) -> DepthCertificate:
     return DepthCertificate(
         depth=alpha,
         status=status,
-        atom_weights=gamma,
         dual_direction=direction,
-        max_weight_ratio=float(np.max(gamma / mu.weights)),
+        max_weight_ratio=float(np.max(delta / mass / mu.weights)),
         iterations=res.iterations,
+        bound_flips=res.bound_flips,
         dual_degenerate=res.dual_degenerate or res.degenerate_basis,
+        loading=_PackedLoading.pack(mu.weights, delta, mass),
     )
 
 

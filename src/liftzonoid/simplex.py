@@ -1,13 +1,28 @@
-"""Dense bounded-variable revised simplex.
+"""Bounded dual simplex with a bound-flipping ratio test.
 
 Solves  max c'x  subject to  A x = b,  l <= x <= u,  for LPs with few rows
-and possibly many columns. The basis system is refactorized every
-iteration with LAPACK partial-pivot solves, which is cheap at these row
-counts and sidesteps update drift. Entering variables follow Dantzig
-pricing until a degenerate streak, after which Bland's rule takes over to
-guarantee termination. Infeasibility is detected by a standard two-phase
-start with signed artificial columns. Bounds must be finite on at least
-one side of every variable.
+and possibly many columns. Every bound must be finite.
+
+The start is the signed artificial basis, with the artificials boxed at
+[0, 0], and every nonbasic column on the bound its reduced-cost sign asks
+for. In an all-finite box LP every basis is then dual feasible, so there
+is no phase one: each iteration picks a basic row outside its box and
+minimizes the piecewise-linear dual function
+
+    D(y) = b'y + sum_j max(l_j rc_j(y), u_j rc_j(y)),  rc_j(y) = c_j - y'a_j,
+
+exactly along that row's dual direction. The long-step ratio test passes
+every breakpoint at which D still descends, flipping those columns to
+their other bound, and the column at the last breakpoint enters the basis
+(Koberstein, "The dual simplex method, techniques for a fast and stable
+implementation", 2005). For the depth LP, D(y) is the lift-zonoid support
+function E(1 + <v, X - x>)_+ at v = -y. A row that stays out of its box
+after every flip proves the LP infeasible.
+
+The m x m basis is inverted afresh every iteration, which is cheap at
+these row counts and sidesteps update drift. Leaving rows follow exact
+dual steepest-edge pricing until a streak of zero-length dual steps, after
+which the smallest-index rule takes over to guarantee termination.
 """
 
 from __future__ import annotations
@@ -16,156 +31,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import DEFAULT_TOLS
 from .errors import NotConverged
 
-_PIVOT_TOL = 1e-10
-_RATIO_TOL = 1e-12
+_PIVOT_TOL = 1e-9  # smaller |alpha_rj| defines no breakpoint
+_PRIMAL_TOL = 1e-11  # box violation accepted, relative to the largest bound
+_DUAL_TOL = 1e-11  # reduced-cost slack, relative to the largest cost
 _DEGENERATE_STREAK = 30
-_DUAL_DEGENERATE_TOL = 1e-9  # mirrors Tolerances.dual_degenerate
-
-AT_LOWER = 0
-AT_UPPER = 1
-BASIC = 2
-
-
-class _Unbounded(Exception):
-    pass
 
 
 @dataclass
 class SimplexResult:
-    status: str  # "optimal" | "infeasible" | "unbounded"
+    status: str  # "optimal" | "infeasible"
     x: np.ndarray | None
     dual: np.ndarray | None
     objective: float
-    iterations: int
+    iterations: int  # dual basis changes
+    bound_flips: int  # nonbasic columns moved to their other bound
     dual_degenerate: bool
     # a basic variable sits on one of its bounds, so neighboring bases
     # (and with them the dual vector) may be equally optimal
     degenerate_basis: bool = False
-
-
-class _Tableau:
-    """Extended problem [A | signed artificial identity] with bound states."""
-
-    def __init__(self, A, b, lower, upper):
-        m, n = A.shape
-        self.m, self.n = m, n
-        self.A = A
-        self.b = b
-        # nonbasic main columns start at a finite bound (lower preferred)
-        start_upper = ~np.isfinite(lower) & np.isfinite(upper)
-        x0 = np.where(np.isfinite(lower), lower, np.where(start_upper, upper, 0.0))
-        residual = b - A @ x0
-        signs = np.where(residual >= 0.0, 1.0, -1.0)
-        self.cols = np.hstack([A, signs[None, :] * np.eye(m)])
-        self.lower = np.concatenate([lower, np.zeros(m)])
-        self.upper = np.concatenate([upper, np.full(m, np.inf)])
-        self.x = np.concatenate([x0, np.abs(residual)])
-        self.state = np.full(n + m, AT_LOWER, dtype=np.int8)
-        self.state[:n][start_upper] = AT_UPPER
-        self.basis = np.arange(n, n + m)  # artificials start basic
-        self.state[self.basis] = BASIC
-        self.iterations = 0
-
-    def refresh_basics(self) -> None:
-        """Recompute basic values from the nonbasic bound values."""
-        nonbasic = np.ones(self.n + self.m, dtype=bool)
-        nonbasic[self.basis] = False
-        active = np.flatnonzero(nonbasic & (self.x != 0.0))
-        rhs = self.b - self.cols[:, active] @ self.x[active] if active.size else self.b.copy()
-        self.x[self.basis] = np.linalg.solve(self.cols[:, self.basis], rhs)
-
-
-def _optimize(t: _Tableau, costs: np.ndarray, max_iterations: int) -> tuple[np.ndarray, bool]:
-    """Simplex loop for the given extended cost vector (maximize).
-
-    Returns (dual vector, dual_degenerate flag); raises _Unbounded or
-    NotConverged.
-    """
-    m = t.m
-    bland = False
-    degenerate_run = 0
-    fixed = t.lower == t.upper
-    while True:
-        if t.iterations > max_iterations:
-            raise NotConverged(f"simplex exceeded {max_iterations} iterations")
-        t.iterations += 1
-        B = t.cols[:, t.basis]
-        y = np.linalg.solve(B.T, costs[t.basis])
-        rc = costs - y @ t.cols
-        eligible = (t.state != BASIC) & (~fixed) & (
-            ((t.state == AT_LOWER) & (rc > _PIVOT_TOL))
-            | ((t.state == AT_UPPER) & (rc < -_PIVOT_TOL))
-        )
-        candidates = np.flatnonzero(eligible)
-        if candidates.size == 0:
-            free = (t.state != BASIC) & (~fixed)
-            free[t.n :] = False  # degeneracy is judged over real columns only
-            dual_degenerate = bool(np.any(np.abs(rc[free]) <= _DUAL_DEGENERATE_TOL))
-            return y, dual_degenerate
-        if bland:
-            q = int(candidates[0])
-        else:
-            q = int(candidates[np.argmax(np.abs(rc[candidates]))])
-        sign = 1.0 if t.state[q] == AT_LOWER else -1.0
-        d = np.linalg.solve(B, t.cols[:, q])
-
-        # ratio test with bound flips
-        step = t.upper[q] - t.lower[q]
-        leave_pos = -1
-        best_pivot = 0.0
-        for i in range(m):
-            di = sign * d[i]
-            bi = t.basis[i]
-            if di > _PIVOT_TOL:
-                ti = (t.x[bi] - t.lower[bi]) / di
-            elif di < -_PIVOT_TOL:
-                ti = (t.x[bi] - t.upper[bi]) / di
-            else:
-                continue
-            ti = max(ti, 0.0)
-            if ti < step - _RATIO_TOL:
-                step, leave_pos, best_pivot = ti, i, abs(di)
-            elif ti <= step + _RATIO_TOL:
-                step = min(step, ti)
-                if leave_pos < 0:
-                    leave_pos, best_pivot = i, abs(di)
-                elif bland:
-                    if bi < t.basis[leave_pos]:
-                        leave_pos, best_pivot = i, abs(di)
-                elif abs(di) > best_pivot:
-                    leave_pos, best_pivot = i, abs(di)
-        if np.isinf(step):
-            raise _Unbounded
-        if step <= _RATIO_TOL:
-            degenerate_run += 1
-            if degenerate_run >= _DEGENERATE_STREAK:
-                bland = True
-        else:
-            degenerate_run = 0
-
-        if leave_pos < 0:
-            # bound flip: the entering variable crosses to its other bound
-            t.x[q] = t.upper[q] if t.state[q] == AT_LOWER else t.lower[q]
-            t.state[q] = AT_UPPER if t.state[q] == AT_LOWER else AT_LOWER
-            if step > 0.0:
-                t.x[t.basis] -= sign * step * d
-            continue
-        leaving = t.basis[leave_pos]
-        di = sign * d[leave_pos]
-        t.x[q] += sign * step
-        if step > 0.0:
-            t.x[t.basis] -= sign * step * d
-        # park the leaving variable exactly on the bound it hit
-        if di > 0.0:
-            t.x[leaving] = t.lower[leaving]
-            t.state[leaving] = AT_LOWER
-        else:
-            t.x[leaving] = t.upper[leaving]
-            t.state[leaving] = AT_UPPER
-        t.basis[leave_pos] = q
-        t.state[q] = BASIC
 
 
 def solve_bounded_lp(
@@ -177,44 +63,116 @@ def solve_bounded_lp(
     *,
     max_iterations: int | None = None,
 ) -> SimplexResult:
-    """Maximize c'x subject to A x = b and l <= x <= u."""
+    """Maximize c'x subject to A x = b and l <= x <= u, all bounds finite."""
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float).reshape(-1)
     c = np.asarray(c, dtype=float).reshape(-1)
     lower = np.asarray(lower, dtype=float).reshape(-1)
     upper = np.asarray(upper, dtype=float).reshape(-1)
+    if not (np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))):
+        raise ValueError("solve_bounded_lp needs finite lower and upper bounds")
     m, n = A.shape
     if max_iterations is None:
         max_iterations = 200 + 50 * (n + m)
-    t = _Tableau(A, b, lower, upper)
+    # equilibrate rows so that the tolerances below mean the same at any scale
+    row_scale = np.abs(A).max(axis=1, initial=0.0)
+    row_scale[row_scale == 0.0] = 1.0
+    A = A / row_scale[:, None]
+    b = b / row_scale
 
-    scale = 1.0 + float(np.abs(b).sum())
-    if float(t.x[n:].sum()) > 1e-14 * scale:
-        phase1 = np.concatenate([np.zeros(n), -np.ones(m)])
-        try:
-            _optimize(t, phase1, max_iterations)
-        except _Unbounded as exc:  # objective is bounded above by 0
-            raise NotConverged("phase one reported an unbounded ray") from exc
-        if float(np.abs(t.x[n:]).sum()) > 1e-9 * scale:
-            return SimplexResult("infeasible", None, None, -np.inf, t.iterations, False)
-    # pin artificials at zero so phase two cannot revive them
-    t.upper[n:] = 0.0
-    t.x[n:][t.state[n:] != BASIC] = 0.0
-    t.refresh_basics()
-    phase2 = np.concatenate([c, np.zeros(m)])
-    try:
-        y, dual_degenerate = _optimize(t, phase2, max_iterations)
-    except _Unbounded:
-        return SimplexResult("unbounded", None, None, np.inf, t.iterations, False)
-    t.refresh_basics()
-    x = t.x[:n].copy()
-    main_basis = t.basis[t.basis < n]
-    vals = t.x[main_basis]
-    span = 1.0 + np.abs(vals)
-    on_bound = (np.abs(vals - t.lower[main_basis]) <= 1e-9 * span) | (
-        np.abs(vals - t.upper[main_basis]) <= 1e-9 * span
-    )
-    degenerate_basis = bool(np.any(on_bound)) or bool(np.any(t.basis >= n))
+    # columns n.. are signed artificials boxed at [0, 0]; once they leave
+    # the basis they are fixed, like every column with l = u
+    at_upper = np.concatenate([c > 0.0, np.zeros(m, dtype=bool)])
+    residual = b - A @ np.where(at_upper[:n], upper, lower)
+    cols = np.hstack([A, np.where(residual >= 0.0, 1.0, -1.0) * np.eye(m)])
+    cost = np.concatenate([c, np.zeros(m)])
+    lo = np.concatenate([lower, np.zeros(m)])
+    hi = np.concatenate([upper, np.zeros(m)])
+    width = hi - lo
+    movable = width > 0.0
+    basis = np.arange(n, n + m)
+    nonbasic = np.ones(n + m, dtype=bool)
+    nonbasic[basis] = False
+    tol_p = _PRIMAL_TOL * (1.0 + max(float(np.abs(lo).max()), float(np.abs(hi).max())))
+    tol_d = _DUAL_TOL * (1.0 + float(np.abs(c).max(initial=0.0)))
+
+    iterations = flips = degenerate_run = 0
+    bland = False
+    while True:
+        binv = np.linalg.inv(cols[:, basis])
+        y = cost[basis] @ binv
+        rc = cost - y @ cols
+        # rounding may leave a reduced cost on the wrong side of its bound
+        wrong = nonbasic & movable & np.where(at_upper, rc < -tol_d, rc > tol_d)
+        if wrong.any():
+            at_upper ^= wrong
+            flips += int(wrong.sum())
+        x = np.where(nonbasic & at_upper, hi, np.where(nonbasic, lo, 0.0))
+        x[basis] = binv @ (b - cols @ x)
+        below = lo[basis] - x[basis]
+        above = x[basis] - hi[basis]
+        excess = np.maximum(below, above)
+        rows = np.flatnonzero(excess > tol_p)
+        if rows.size == 0:
+            break
+        if iterations >= max_iterations:
+            raise NotConverged(f"dual simplex exceeded {max_iterations} iterations")
+
+        if bland:
+            r = int(rows[np.argmin(basis[rows])])
+        else:  # dual steepest edge: the edge norms are the rows of B^-1
+            r = int(rows[np.argmax(excess[rows] ** 2 / np.sum(binv[rows] ** 2, axis=1))])
+        # the leaving variable heads for the bound it violates; along the
+        # dual step rc_j falls by sign * alpha_j per unit length
+        sign = 1.0 if below[r] > 0.0 else -1.0
+        alpha = binv[r] @ cols
+        slope = np.where(at_upper, sign * alpha, -sign * alpha)
+        # tiny pivots are taken only when the row cannot be repaired without
+        # them; if it cannot be repaired with them either, D descends forever
+        for pivot_tol in (_PIVOT_TOL, 0.0):
+            cand = np.flatnonzero(nonbasic & movable & (slope > pivot_tol))
+            gap = np.where(at_upper[cand], rc[cand], -rc[cand])
+            ratio = np.maximum(gap, 0.0) / np.abs(alpha[cand])
+            order = np.argsort(ratio, kind="stable")
+            cand, ratio = cand[order], ratio[order]
+            # descent rate of D after passing each breakpoint
+            descent = excess[r] - np.cumsum(np.abs(alpha[cand]) * width[cand])
+            passed = np.flatnonzero(descent <= tol_p)
+            if passed.size:
+                break
+        else:
+            return SimplexResult("infeasible", None, None, -np.inf, iterations, flips, False)
+        k = int(passed[0])
+        # Harris window: among breakpoints within tolerance of the first
+        # one that stops the descent, enter the most stable column
+        tail = cand[k:]
+        harris = float(np.min((np.abs(rc[tail]) + tol_d) / np.abs(alpha[tail])))
+        window = tail[ratio[k:] <= harris]
+        q = int(window.min()) if bland else int(window[np.argmax(np.abs(alpha[window]))])
+
+        at_upper[cand[:k]] ^= True
+        flips += k
+        leaving = basis[r]
+        at_upper[leaving] = sign < 0.0
+        nonbasic[leaving] = True
+        nonbasic[q] = False
+        at_upper[q] = False
+        basis[r] = q
+        iterations += 1
+        if abs(rc[q]) <= tol_d:
+            degenerate_run += 1
+            bland = bland or degenerate_run >= _DEGENERATE_STREAK
+        else:
+            degenerate_run = 0
+
+    free = nonbasic & movable
+    free[n:] = False  # degeneracy is judged over real columns only
+    dual_degenerate = bool(np.any(np.abs(rc[free]) <= DEFAULT_TOLS.dual_degenerate))
+    xb, lb, ub = x[basis], lo[basis], hi[basis]
+    on_bound = np.minimum(np.abs(xb - lb), np.abs(xb - ub)) <= 1e-9 * (1.0 + np.abs(xb))
+    degenerate_basis = bool(np.any(on_bound))  # a basic artificial is always on [0, 0]
+    x = x[:n].copy()
     return SimplexResult(
-        "optimal", x, y, float(c @ x), t.iterations, dual_degenerate, degenerate_basis
+        "optimal", x, y / row_scale, float(c @ x), iterations, flips,
+        dual_degenerate, degenerate_basis,
     )

@@ -55,6 +55,7 @@ class TestDepthCommand:
         assert payload["status"] == "interior"
         assert payload["dual_direction"] == [1.0]
         assert payload["max_weight_ratio"] == pytest.approx(1.5, abs=1e-12)
+        assert payload["iterations"] == 1 and payload["bound_flips"] == 0
 
     def test_outside_exits_2(self, capsys, square_csv):
         code, out, _ = run_cli(capsys, "depth", "--measure", square_csv,
@@ -293,6 +294,14 @@ class TestVerifyCommand:
         payload = json.loads(out)
         assert payload["passed"] is True
 
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_nonpositive_samples_exit_1(self, capsys, samples):
+        code, out, err = run_cli(capsys, "verify", "--suite", "gaussian",
+                                 "--samples", samples)
+        assert code == 1
+        assert out == ""
+        assert "--samples" in err
+
     def test_unknown_suite_exit_1(self, capsys):
         code, _, _ = run_cli(capsys, "verify", "--suite", "wat")
         assert code == 1
@@ -341,6 +350,29 @@ class TestPlumbing:
                                "--point", "0.1,0.1")
         assert code == 0
         json.loads(out)  # payload intact
+
+    def test_log_env_accepts_warning_spelling(self, square_csv, monkeypatch,
+                                              capsys, caplog):
+        monkeypatch.setenv("LIFTZONOID_LOG", "warning")
+        code, _, _ = run_cli(capsys, "depth", "--measure", square_csv,
+                             "--point", "0.1,0.1")
+        assert code == 0
+        assert not [r for r in caplog.records
+                    if "LIFTZONOID_LOG" in r.getMessage()]
+
+
+def test_closed_stdout_exits_141_without_traceback():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "liftzonoid.cli", "verify", "--suite", "theorem1"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()  # the reader is gone before the payload is written
+    try:
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert proc.returncode == 141
+    assert b"Traceback" not in err and b"BrokenPipeError" not in err
 
 
 def test_console_script_installed():

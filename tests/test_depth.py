@@ -7,7 +7,8 @@ weight 1/2 each, probed at x = 1/2. The optimal loading is gamma =
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import scipy.optimize
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from liftzonoid import (
@@ -25,7 +26,9 @@ from liftzonoid import (
     trimmed_boundary_point,
     zonoid_depth,
 )
+from liftzonoid.depth import check_affine_span
 from liftzonoid.sampling import direction_grid
+from liftzonoid.simplex import solve_bounded_lp
 
 
 class TestWorkedExample:
@@ -57,6 +60,7 @@ class TestStatuses:
         cert = zonoid_depth(square, [0.0, 0.0])
         assert cert.status is DepthStatus.MEAN
         assert cert.depth == 1.0
+        np.testing.assert_array_equal(cert.atom_weights, square.weights)
 
     def test_outside(self, square):
         cert = zonoid_depth(square, [2.0, 0.0])
@@ -121,6 +125,30 @@ class TestCertificateInvariants:
                 pt = trimmed_boundary_point(mu, TrimmedRegionQuery(alpha, Direction(u)))
                 cert = zonoid_depth(mu, pt)
                 assert cert.depth == pytest.approx(alpha, abs=1e-6)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_compact_loadings_rebuild_the_lp_solution(self, cloud, seed):
+        # the certificate keeps a packed mask and the fractional entries;
+        # the dense loadings it rebuilds are the LP solution, bit for bit
+        mu = cloud(200 + seed, n=60, d=2)
+        x = 0.6 * mu.points[seed] + 0.4 * mu.mean()
+        cert = zonoid_depth(mu, x)
+        res = solve_bounded_lp((mu.points - x).T, np.zeros(2), np.ones(60),
+                               np.zeros(60), mu.weights)
+        delta = np.maximum(res.x, 0.0)
+        np.testing.assert_array_equal(cert.atom_weights, delta / delta.sum())
+        assert cert.loading.index.size <= mu.dim
+
+    def test_long_steps_take_few_iterations(self):
+        # each basis change passes many breakpoints at once, so a query
+        # needs far fewer basis changes than there are atoms
+        rng = np.random.default_rng(3)
+        pts = rng.standard_normal((1000, 3))
+        mu = EmpiricalMeasure.uniform(pts)
+        for s in (0.2, 0.5, 0.9, 1.3):
+            cert = zonoid_depth(mu, s * pts[0])
+            assert cert.iterations <= 50
+            assert cert.bound_flips >= 100
 
 
 class TestDegenerateDual:
@@ -192,6 +220,13 @@ class TestErrors:
         with pytest.raises(DegenerateMeasure):
             zonoid_depth(EmpiricalMeasure.uniform(pts), [1.0, 1.0])
 
+    def test_coincident_atoms_with_rounded_mean(self):
+        # 13 copies of 2.0 average to 2 - 4.4e-16, not to 2
+        mu = EmpiricalMeasure.uniform(np.full((13, 1), 2.0))
+        assert mu.mean()[0] != 2.0
+        with pytest.raises(DegenerateMeasure):
+            zonoid_depth(mu, [2.0])
+
     def test_nonfinite_point(self, square):
         with pytest.raises(NonFinite):
             zonoid_depth(square, [np.nan, 0.0])
@@ -219,3 +254,78 @@ def test_depth_of_convex_combination_bounded_below(seed):
     t = float((mu.weights / gamma).min())
     cert = zonoid_depth(mu, x)
     assert cert.depth >= min(t, 1.0) - 1e-9
+
+
+def _highs_depth(pts, w, x):
+    """Depth LP handed to HiGHS, rows scaled to unit size (test-only)."""
+    a = (pts - x).T
+    a = a / np.maximum(np.abs(a).max(axis=1, keepdims=True), 1e-300)
+    n = len(w)
+    lp = scipy.optimize.linprog(
+        -np.ones(n),
+        A_eq=a,
+        b_eq=np.zeros(a.shape[0]),
+        bounds=np.column_stack([np.zeros(n), w]),
+        method="highs",
+        options={"primal_feasibility_tolerance": 1e-9, "dual_feasibility_tolerance": 1e-9},
+    )
+    assert lp.status == 0
+    return min(-float(lp.fun), 1.0)
+
+
+@st.composite
+def _depth_instances(draw):
+    """A measure and a query inside it, on its hull, or outside it."""
+    kind = draw(st.sampled_from(["grid", "weighted", "near-flat"]))
+    d = draw(st.sampled_from([1, 2, 3, 5]))
+    where = draw(st.sampled_from(["inside", "hull", "outside"]))
+    n = draw(st.integers(min_value=d + 2, max_value=40))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    if kind == "grid":  # few distinct integer sites, so atoms repeat and tie
+        sites = rng.integers(-2, 3, size=(max(n // 3, d + 1), d)).astype(float)
+        pts = sites[rng.integers(len(sites), size=n)]
+        w = np.full(n, 1.0 / n)
+    else:
+        pts = rng.standard_normal((n, d))
+        w = rng.uniform(0.05, 1.0, n)
+        w /= w.sum()
+        if kind == "near-flat":
+            pts[:, -1] *= 1e-5
+    mu = EmpiricalMeasure(pts, w)
+    try:
+        check_affine_span(mu)
+    except DegenerateMeasure:
+        assume(False)
+    mean = mu.mean()
+    v = rng.standard_normal(d)
+    extreme = pts[int(np.argmax(pts @ v))]  # a vertex of the hull
+    if where == "inside":
+        x = mean + rng.uniform(0.05, 0.95) * (pts[rng.integers(n)] - mean)
+    elif where == "hull":
+        x = extreme.copy()
+    else:  # beyond the hull's supporting plane at the vertex
+        x = extreme + 0.25 * (extreme - mean)
+    return mu, x, where
+
+
+@given(_depth_instances())
+@settings(max_examples=150, deadline=None)
+def test_depth_matches_highs_on_ties_weights_and_flat_clouds(instance):
+    mu, x, where = instance
+    pts = mu.points
+    scale = 1.0 + float(np.abs(pts).max())
+    reference = _highs_depth(pts, mu.weights, x)
+    cert = zonoid_depth(mu, x)
+    assert (cert.status is DepthStatus.OUTSIDE) == (reference <= 1e-9)
+    assert (cert.status is DepthStatus.OUTSIDE) == (where == "outside")
+    if cert.status is DepthStatus.OUTSIDE:
+        assert cert.depth == 0.0 and cert.atom_weights is None
+        return
+    assert abs(cert.depth - reference) <= 1e-9
+    gamma = cert.atom_weights
+    assert gamma.sum() == pytest.approx(1.0, abs=1e-9)
+    np.testing.assert_allclose(gamma @ pts, x, atol=1e-8 * scale)
+    u = cert.dual_direction
+    if u is not None and not cert.dual_degenerate:
+        h = support_trimmed(mu, TrimmedRegionQuery(cert.depth, u))
+        assert h == pytest.approx(float(x @ u.vec), abs=1e-8 * scale)

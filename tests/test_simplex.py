@@ -1,4 +1,4 @@
-"""Bounded-variable simplex against scipy's HiGHS solver on random programs.
+"""Bounded dual simplex against scipy's HiGHS solver on random programs.
 
 The LP form throughout is max c'x subject to Ax = b, lower <= x <= upper.
 """
@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 import scipy.optimize
 
+from liftzonoid import simplex
+from liftzonoid.errors import NotConverged
 from liftzonoid.simplex import solve_bounded_lp
 
 
@@ -84,12 +86,17 @@ def test_infeasible_detected():
     assert res.status == "infeasible"
 
 
-def test_unbounded_detected():
-    # maximize x1 with no effective constraint on it
-    res = solve_bounded_lp(np.array([[0.0, 1.0]]), np.array([0.0]),
-                           np.array([1.0, 0.0]), np.zeros(2),
-                           np.array([np.inf, 1.0]))
-    assert res.status == "unbounded"
+@pytest.mark.parametrize("bound", ["lower", "upper"])
+def test_infinite_bound_rejected(bound):
+    # every box must be finite, so an unbounded LP cannot be posed
+    lower, upper = np.zeros(2), np.ones(2)
+    if bound == "lower":
+        lower[0] = -np.inf
+    else:
+        upper[0] = np.inf
+    with pytest.raises(ValueError, match="finite"):
+        solve_bounded_lp(np.array([[0.0, 1.0]]), np.array([0.0]),
+                         np.array([1.0, 0.0]), lower, upper)
 
 
 def test_fixed_variables():
@@ -123,3 +130,31 @@ def test_negative_lower_bounds():
     ref = _highs_optimum(A, b, c, lower, upper)
     assert res.status == "optimal"
     assert res.objective == pytest.approx(-ref.fun, abs=1e-9)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_smallest_index_rule_on_tied_depth_lps(monkeypatch, seed):
+    # duplicated integer atoms make many dual steps zero-length; switching
+    # to the smallest-index rule after the first one must keep the optimum
+    monkeypatch.setattr(simplex, "_DEGENERATE_STREAK", 1)
+    rng = np.random.default_rng(300 + seed)
+    n = 200
+    pts = rng.integers(-3, 4, size=(n, 2)).astype(float)
+    x = pts.mean(axis=0) + rng.uniform(0.0, 1.5) * (pts[rng.integers(n)] - pts.mean(axis=0))
+    A, b, c = (pts - x).T, np.zeros(2), np.ones(n)
+    lower, upper = np.zeros(n), np.full(n, 1.0 / n)
+    res = solve_bounded_lp(A, b, c, lower, upper)
+    ref = scipy.optimize.linprog(
+        -c, A_eq=A, b_eq=b, bounds=np.column_stack([lower, upper]), method="highs",
+        options={"primal_feasibility_tolerance": 1e-9, "dual_feasibility_tolerance": 1e-9},
+    )
+    assert res.status == "optimal"
+    assert res.objective == pytest.approx(-ref.fun, abs=1e-9)
+    np.testing.assert_allclose(A @ res.x, b, atol=1e-12)
+
+
+def test_iteration_cap_raises_not_converged():
+    A = np.array([[-1.5, 0.5]])  # the worked example needs one basis change
+    with pytest.raises(NotConverged):
+        solve_bounded_lp(A, np.array([0.0]), np.array([1.0, 1.0]),
+                         np.zeros(2), np.full(2, 0.5), max_iterations=0)
