@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-import scipy.optimize
+from scipy.special import owens_t
 
 from .config import DEFAULT_TOLS
 from .depth import DepthStatus, zonoid_depth
@@ -33,16 +33,16 @@ from .errors import (
     OutsideSupport,
     ZeroMass,
 )
-from .gaussian import RepresentationResult, gaussian_represent, g_inverse, normal_cdf
+from .gaussian import RepresentationResult, gaussian_represent
 from .measures import (
     Direction,
     EmpiricalMeasure,
     GaussianMeasure,
     HalfSpace,
+    _descending_tail,
     as_vector,
 )
-from .normal import normal_sf
-from .sampling import task_stream
+from .normal import g_inverse, normal_cdf, normal_sf
 from .zonoid import TrimmedRegionQuery, support_trimmed, trimmed_boundary_point
 
 _FRACTION_TOL = 1e-9
@@ -197,7 +197,16 @@ def coords_from_point(mu, point, kind) -> BarycentricCoords:
 
 
 def _alpha_from_support(mu, u: Direction, h: float) -> float:
-    """Invert the strictly decreasing alpha -> h(D_alpha, u) map."""
+    """Invert the strictly decreasing alpha -> h(D_alpha, u) map exactly.
+
+    Gaussian measures use alpha = Phi(G^-1((h - s)/sigma)). For empirical
+    measures one descending sort gives the running averages
+    cumsum(v w)/cumsum(w), which are h at the atom masses; on the segment
+    where atom k is marginal, h alpha = C + (alpha - W) v_k with C, W the
+    value-weight and weight sums above k, solved for alpha. A level at the
+    farthest projection returns 1e-12, one at the mean returns 1.0; a
+    level more than 1e-9 (relative) outside that range raises NoSolution.
+    """
     if isinstance(mu, GaussianMeasure):
         s, sigma = mu._projection_params(u)
         if sigma == 0.0:
@@ -212,27 +221,27 @@ def _alpha_from_support(mu, u: Direction, h: float) -> float:
             raise NoSolution("support level exceeds every representable trimmed region")
         return alpha
     proj = mu.points @ u.vec
+    order, cum_w = _descending_tail(proj, mu.weights)
+    v = proj[order]
+    cum_vw = np.cumsum(v * mu.weights[order])
+    avg = cum_vw / cum_w
     scale = 1.0 + float(np.abs(proj).max())
-    lo = 1e-12
-    f_lo = support_trimmed(mu, TrimmedRegionQuery(lo, u)) - h
-    f_hi = support_trimmed(mu, TrimmedRegionQuery(1.0, u)) - h
-    if f_lo < -1e-9 * scale:
+    if h - v[0] > 1e-9 * scale:
         raise NoSolution("support level exceeds the farthest atom projection")
-    if f_hi > 1e-9 * scale:
+    if avg[-1] - h > 1e-9 * scale:
         raise NoSolution("support level lies below the mean projection")
-    if f_lo <= 0.0:
-        return lo
-    if f_hi >= 0.0:
+    if h >= v[0]:
+        return 1e-12
+    if h <= avg[-1] + 1e-13 * scale:  # the mean, up to the rounding of its sum
         return 1.0
-    return float(
-        scipy.optimize.brentq(
-            lambda t: support_trimmed(mu, TrimmedRegionQuery(t, u)) - h,
-            lo,
-            1.0,
-            xtol=1e-15,
-            rtol=8.9e-16,
-        )
-    )
+    k = int(np.searchsorted(-avg, -h))  # first atom whose running average reaches h
+    vk = float(v[k])
+    hi = min(float(cum_w[k]), 1.0)
+    if h <= vk:  # only by rounding: a running average never falls below v_k
+        return hi
+    lo = float(cum_w[k - 1])
+    alpha = (float(cum_vw[k - 1]) - lo * vk) / (h - vk)
+    return min(max(alpha, lo), hi)
 
 
 def point_from_coords(mu, coords: BarycentricCoords) -> np.ndarray:
@@ -282,35 +291,44 @@ def _halfspace_membership(points: np.ndarray, hs: HalfSpace) -> np.ndarray:
     return points @ hs.direction.vec >= hs.offset
 
 
-def verify_uniqueness(
-    mu,
-    first: HalfSpace,
-    second: HalfSpace,
-    seed: int = 0,
-    samples: int = 1_000_000,
-    with_stderr: bool = False,
-):
+def _upper_orthant(c1: float, c2: float, rho: float) -> float:
+    """P(Z1 >= c1, Z2 >= c2) for standard normals with correlation |rho| < 1.
+
+    Owen's T form of the bivariate normal orthant (Owen 1956). A zero
+    offset takes the limit from above: T(0, +-inf) = +-1/4.
+    """
+    if c1 == 0.0 and c2 == 0.0:
+        return 0.25 + math.asin(rho) / (2.0 * math.pi)
+    root = math.sqrt(1.0 - rho * rho)
+
+    def term(c, other):
+        slope = other - rho * c
+        if c == 0.0:
+            return math.copysign(0.25, slope)
+        return float(owens_t(c, slope / (c * root)))
+
+    beta = 0.5 if (c1 < 0.0) != (c2 < 0.0) else 0.0
+    return 0.5 * (normal_sf(c1) + normal_sf(c2)) - term(c1, c2) - term(c2, c1) - beta
+
+
+def verify_uniqueness(mu, first: HalfSpace, second: HalfSpace) -> float:
     """Mass of the symmetric difference of two half-spaces under ``mu``.
 
-    Exact for empirical measures and for Gaussian pairs whose
-    projections are perfectly correlated; otherwise a seeded Monte-Carlo
-    estimate. With ``with_stderr`` returns (mass, standard_error) where
-    the error is zero on exact paths.
+    Exact for every measure: a finite sum for empirical measures; for
+    Gaussians sf(c1) + sf(c2) - 2 P(Z1 >= c1, Z2 >= c2) at the
+    standardized offsets, with the orthant probability from Owen's T.
     """
     if isinstance(mu, EmpiricalMeasure):
         in_first = _halfspace_membership(mu.points, first)
         in_second = _halfspace_membership(mu.points, second)
-        mass = float(mu.weights[in_first != in_second].sum())
-        return (mass, 0.0) if with_stderr else mass
+        return float(mu.weights[in_first != in_second].sum())
     if not isinstance(mu, GaussianMeasure):
         raise TypeError(f"unsupported measure type {type(mu).__name__}")
     if first.is_whole_space or second.is_whole_space:
         if first.is_whole_space and second.is_whole_space:
-            mass = 0.0
-        else:
-            other = second if first.is_whole_space else first
-            mass = 1.0 - mu.halfspace_mass(other)
-        return (mass, 0.0) if with_stderr else mass
+            return 0.0
+        other = second if first.is_whole_space else first
+        return 1.0 - mu.halfspace_mass(other)
     s1, sig1 = mu._projection_params(first.direction)
     s2, sig2 = mu._projection_params(second.direction)
     c1 = (first.offset - s1) / sig1
@@ -318,27 +336,8 @@ def verify_uniqueness(
     cov = mu.covariance
     corr = float(first.direction.vec @ cov @ second.direction.vec) / (sig1 * sig2)
     if corr >= 1.0 - 1e-12:
-        mass = abs(normal_cdf(c1) - normal_cdf(c2))
-        return (mass, 0.0) if with_stderr else mass
+        return abs(normal_cdf(c1) - normal_cdf(c2))
     if corr <= -1.0 + 1e-12:
         both = max(0.0, normal_cdf(-c2) - normal_cdf(c1))
-        mass = normal_sf(c1) + normal_sf(c2) - 2.0 * both
-        return (mass, 0.0) if with_stderr else mass
-    # general position: seeded Monte-Carlo on the 2-D projection pair
-    chunk = 125_000
-    n_chunks = max(1, math.ceil(samples / chunk))
-    hits = 0
-    total = 0
-    rho = min(1.0, max(-1.0, corr))
-    tail = math.sqrt(max(0.0, 1.0 - rho * rho))
-    for k in range(n_chunks):
-        take = min(chunk, samples - total)
-        rng = task_stream(seed, k)
-        z = rng.standard_normal((take, 2))
-        p1 = z[:, 0]
-        p2 = rho * z[:, 0] + tail * z[:, 1]
-        hits += int(np.count_nonzero((p1 >= c1) != (p2 >= c2)))
-        total += take
-    p_hat = hits / total
-    stderr = math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / total)
-    return (p_hat, stderr) if with_stderr else p_hat
+        return normal_sf(c1) + normal_sf(c2) - 2.0 * both
+    return normal_sf(c1) + normal_sf(c2) - 2.0 * _upper_orthant(c1, c2, corr)

@@ -49,17 +49,17 @@ from .errors import (
     TooLarge,
     ZeroMass,
 )
-from .gaussian import (
+from .gaussian import gaussian_depth
+from .measures import Direction, EmpiricalMeasure, GaussianMeasure, HalfSpace, load_measure
+from .normal import (
     g_inverse,
     g_ratio,
-    gaussian_depth,
     isoperimetric,
     normal_cdf,
     normal_pdf,
     normal_quantile,
     radius,
 )
-from .measures import Direction, EmpiricalMeasure, GaussianMeasure, HalfSpace, load_measure
 from .sampling import direction_grid
 from .verify import SUITES, _map_tasks, run_suite
 from .zonoid import (

@@ -26,7 +26,6 @@ from enum import Enum
 
 import numpy as np
 import scipy.linalg
-import scipy.optimize
 
 from .config import DEFAULT_TOLS
 from .errors import DegenerateMeasure, NoDual, NonFinite, TooLarge
@@ -217,6 +216,8 @@ def depth_bruteforce_oracle(mu: EmpiricalMeasure, point, grid: int) -> float:
     non-membership) and then exactly as a feasibility LP handed to the
     HiGHS backend. Restricted to small instances.
     """
+    import scipy.optimize  # the oracle's HiGHS backend; kept off the start-up path
+
     if not isinstance(mu, EmpiricalMeasure):
         raise TypeError("depth_bruteforce_oracle expects an empirical measure")
     if mu.size > _ORACLE_MAX_ATOMS or mu.dim > _ORACLE_MAX_DIM:

@@ -5,11 +5,8 @@ radius r(alpha) = isoperimetric(alpha)/alpha, depth is r inverted at the
 whitened norm, and the half-space representation of an interior point x
 is {y : <y, x/||x||> >= -g_inverse(||x||)}. General covariance is
 handled strictly by whitening with the measure's factor: all geometry is
-computed in whitened coordinates and mapped back.
-
-The scalar building blocks (normal cdf/pdf/quantile, isoperimetric, the
-ratio G = pdf/cdf and its inverse) are re-exported here from the scalar
-module so callers have a single import point.
+computed in whitened coordinates and mapped back. The scalar building
+blocks live in :mod:`liftzonoid.normal`.
 """
 
 from __future__ import annotations
@@ -20,30 +17,7 @@ import numpy as np
 
 from .config import DEFAULT_TOLS
 from .measures import Direction, GaussianMeasure, HalfSpace, as_vector
-from .normal import (
-    g_inverse,
-    g_ratio,
-    isoperimetric,
-    normal_cdf,
-    normal_pdf,
-    normal_quantile,
-    normal_sf,
-    radius,
-)
-
-__all__ = [
-    "RepresentationResult",
-    "gaussian_depth",
-    "gaussian_represent",
-    "g_inverse",
-    "g_ratio",
-    "isoperimetric",
-    "normal_cdf",
-    "normal_pdf",
-    "normal_quantile",
-    "normal_sf",
-    "radius",
-]
+from .normal import g_inverse, normal_cdf
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,36 +58,13 @@ def _whitened(mu: GaussianMeasure, point) -> np.ndarray:
 def gaussian_depth(mu: GaussianMeasure, point) -> float:
     """Zonoid depth of ``point``: the alpha with radius(alpha) = whitened norm.
 
-    Solved by bracketed bisection on the strictly decreasing radius map,
-    seeded with the inverse-ratio closed form.
+    Closed form alpha = Phi(G^-1(rho)), exact because r(Phi(u)) = G(u);
+    it underflows to 0.0 far in the tail.
     """
     rho = float(np.linalg.norm(_whitened(mu, point)))
     if rho <= DEFAULT_TOLS.mean_radius:
         return 1.0
-    seed = normal_cdf(g_inverse(rho))
-    if seed <= 0.0:
-        return 0.0  # whitened norm beyond representable radius
-    lo = seed
-    while radius(lo) < rho:
-        lo *= 0.5
-        if lo < 1e-300:
-            return 0.0
-    hi = min(seed * 2.0, 1.0 - 1e-16)
-    while radius(hi) > rho:
-        hi = 0.5 * (1.0 + hi)
-        if 1.0 - hi < 1e-16:
-            break
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if radius(mid) >= rho:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= DEFAULT_TOLS.depth_bisection * max(lo, 1e-300):
-            break
-    return 0.5 * (lo + hi)
+    return normal_cdf(g_inverse(rho))
 
 
 def gaussian_represent(mu: GaussianMeasure, point) -> RepresentationResult:

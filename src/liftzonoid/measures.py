@@ -155,6 +155,17 @@ class GaussianProjection:
     std: float
 
 
+def _descending_tail(values: np.ndarray, weights: np.ndarray):
+    """Stable descending order of ``values`` and the upper mass along it.
+
+    Returns ``(order, cum)`` with ``cum[k]`` the weight of the atoms
+    ``order[:k + 1]``. Shared by :func:`upper_mass_split` and the exact
+    support-to-alpha inversion, so both walk the same tail.
+    """
+    order = np.argsort(-values, kind="stable")
+    return order, np.cumsum(weights[order])
+
+
 def upper_mass_split(values: np.ndarray, weights: np.ndarray, alpha: float):
     """Split atoms of a 1-D law at the upper-``alpha`` mass level.
 
@@ -163,8 +174,7 @@ def upper_mass_split(values: np.ndarray, weights: np.ndarray, alpha: float):
     atoms at the threshold share the residual mass ``alpha - mass(full)``.
     ``threshold`` is always one of the atom values (the upper quantile).
     """
-    order = np.argsort(-values, kind="stable")
-    cum = np.cumsum(weights[order])
+    order, cum = _descending_tail(values, weights)
     k = int(np.searchsorted(cum, alpha - 1e-12))
     k = min(k, values.size - 1)
     threshold = float(values[order[k]])

@@ -1,8 +1,12 @@
 """Half-space barycentric representation and the three coordinate forms."""
 
+import math
+
 import numpy as np
 import pytest
-import scipy.stats
+import scipy.integrate
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liftzonoid import (
     BarycentricCoords,
@@ -16,6 +20,7 @@ from liftzonoid import (
     NoSolution,
     NotConverged,
     OutsideSupport,
+    TrimmedRegionQuery,
     convert_coords,
     coords_from_point,
     g_inverse,
@@ -23,8 +28,10 @@ from liftzonoid import (
     normal_cdf,
     point_from_coords,
     represent,
+    support_trimmed,
     verify_uniqueness,
 )
+from liftzonoid.barycentric import _alpha_from_support
 
 G_INV_HALF = 0.5179127159921794137   # G(u) = 1/2 at this u
 TAIL_MEAN_13 = 1.770327832359651066  # E[Z | Z >= 1.3]
@@ -254,31 +261,30 @@ class TestVerifyUniqueness:
         assert verify_uniqueness(std2, a, b) == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal_monte_carlo(self, std2):
+        # once a Monte-Carlo estimate; now the exact Owen's T orthant
         a = HalfSpace(Direction([1.0, 0.0]), 0.4)
         b = HalfSpace(Direction([0.0, 1.0]), -0.2)
-        est, se = verify_uniqueness(std2, a, b, seed=3, samples=400_000,
-                                    with_stderr=True)
-        assert se < 2e-3
-        assert est == pytest.approx(ORTHANT_SYMMDIFF, abs=5 * se)
+        assert verify_uniqueness(std2, a, b) == pytest.approx(ORTHANT_SYMMDIFF,
+                                                              abs=1e-14)
 
     def test_oblique_against_scipy_orthant(self, std2):
-        # correlated projections: P(A cap B) from the bivariate normal cdf
+        # correlated projections, zero offsets included, against P(A cap B)
+        # integrated by quadrature: int_a^inf pdf(z) sf((b - rho z)/s) dz
         u1 = Direction([1.0, 0.0])
-        u2 = Direction.of([1.0, 1.0])
-        a, b = 0.2, -0.1
-        rho = float(u1.vec @ u2.vec)
-        cov = [[1.0, rho], [rho, 1.0]]
-        both = scipy.stats.multivariate_normal(mean=[0.0, 0.0], cov=cov).cdf(
-            [-a, -b]
-        )  # P(proj1 < a, proj2 < b) reflected to P(>= a, >= b)
-        pa = 1.0 - normal_cdf(a)
-        pb = 1.0 - normal_cdf(b)
-        exact = pa + pb - 2.0 * both
-        ha = HalfSpace(u1, a)
-        hb = HalfSpace(u2, b)
-        est, se = verify_uniqueness(std2, ha, hb, seed=9, samples=400_000,
-                                    with_stderr=True)
-        assert est == pytest.approx(exact, abs=5 * se)
+        for angle in (0.3, 0.8, 2.0, 2.9):
+            u2 = Direction([math.cos(angle), math.sin(angle)])
+            rho = float(u1.vec @ u2.vec)
+            root = math.sqrt(1.0 - rho * rho)
+            for a, b in [(0.2, -0.1), (-1.3, 0.6), (0.0, 0.7), (0.7, 0.0),
+                         (0.0, -0.7), (-0.7, 0.0), (0.0, 0.0)]:
+                both = scipy.integrate.quad(
+                    lambda z: math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+                    * (1.0 - normal_cdf((b - rho * z) / root)),
+                    a, math.inf, epsabs=1e-15, epsrel=1e-13, limit=200,
+                )[0]
+                exact = (1.0 - normal_cdf(a)) + (1.0 - normal_cdf(b)) - 2.0 * both
+                got = verify_uniqueness(std2, HalfSpace(u1, a), HalfSpace(u2, b))
+                assert got == pytest.approx(exact, abs=1e-12), (angle, a, b)
 
     def test_empirical_exact(self, square):
         # atom measure: the difference mass is a finite sum, no sampling
@@ -298,9 +304,42 @@ class TestVerifyUniqueness:
         h = HalfSpace(Direction([1.0, 0.0]), 0.0)
         assert verify_uniqueness(std2, w, h) == pytest.approx(0.5, abs=1e-12)
 
-    def test_seed_reproducibility(self, std2):
-        a = HalfSpace(Direction([1.0, 0.0]), 0.1)
-        b = HalfSpace(Direction([0.0, 1.0]), 0.2)
-        x = verify_uniqueness(std2, a, b, seed=5, samples=100_000)
-        y = verify_uniqueness(std2, a, b, seed=5, samples=100_000)
-        assert x == y
+
+@st.composite
+def _tied_clouds(draw):
+    """A weighted integer cloud whose projections tie, and a direction."""
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    d = draw(st.integers(min_value=1, max_value=3))
+    n = draw(st.integers(min_value=1, max_value=40))
+    pts = rng.integers(-3, 4, size=(n, d)).astype(float) * draw(st.sampled_from([1.0, 1e-3, 1e3]))
+    w = rng.integers(1, 5, size=n).astype(float)
+    axis = rng.integers(-1, 2, size=d).astype(float)  # lattice directions tie most
+    u = Direction.of(axis if axis.any() and draw(st.booleans()) else rng.standard_normal(d))
+    return EmpiricalMeasure(pts, w / w.sum()), u
+
+
+@given(_tied_clouds(), st.floats(min_value=1e-9, max_value=1.0))
+@settings(max_examples=200, deadline=None)
+def test_exact_support_inversion_on_tied_weighted_clouds(instance, alpha):
+    mu, u = instance
+    proj = mu.points @ u.vec
+    scale = 1.0 + float(np.abs(proj).max())
+    h = support_trimmed(mu, TrimmedRegionQuery(alpha, u))
+    back = _alpha_from_support(mu, u, h)
+    assert 0.0 < back <= 1.0
+    assert support_trimmed(mu, TrimmedRegionQuery(back, u)) == pytest.approx(h, abs=1e-12 * scale)
+    assert _alpha_from_support(mu, u, float(proj.max())) == 1e-12
+    with pytest.raises(NoSolution):
+        _alpha_from_support(mu, u, float(proj.max()) + 1e-6 * scale)
+    with pytest.raises(NoSolution):
+        _alpha_from_support(mu, u, float(mu.mean() @ u.vec) - 1e-6 * scale)
+
+
+def test_support_one_ulp_below_the_top_ends_the_flat_segment():
+    # h(alpha) = 0.7 on (0, 0.4]; just below it alpha leaves that segment.
+    # The running average 0.7 * 0.4 / 0.4 rounds below 0.7, so the search
+    # lands on the top atom itself.
+    mu = EmpiricalMeasure(np.array([[0.7], [-1.0]]), np.array([0.4, 0.6]))
+    u = Direction([1.0])
+    assert 0.7 * 0.4 / 0.4 < 0.7
+    assert _alpha_from_support(mu, u, float(np.nextafter(0.7, -np.inf))) == 0.4

@@ -302,6 +302,23 @@ class TestVerifyCommand:
         assert out == ""
         assert "--samples" in err
 
+    def test_too_few_kept_draws_fail_exit_3(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--suite", "gaussian",
+                               "--samples", "3")
+        assert code == 3
+        payload = json.loads(out)
+        assert payload["passed"] is False
+        prop = {p["name"]: p for p in payload["properties"]}["mc-barycenter-within-4-sigma"]
+        assert prop["passed"] is False
+        assert 0 <= prop["kept"] < 100
+
+    def test_kept_draws_reported(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--suite", "gaussian",
+                               "--samples", "1000")
+        assert code == 0
+        prop = {p["name"]: p for p in json.loads(out)["properties"]}["mc-barycenter-within-4-sigma"]
+        assert prop["passed"] is True and prop["kept"] >= 100
+
     def test_unknown_suite_exit_1(self, capsys):
         code, _, _ = run_cli(capsys, "verify", "--suite", "wat")
         assert code == 1
@@ -382,3 +399,11 @@ def test_console_script_installed():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "0.398942280401433"
+
+
+def test_startup_does_not_import_scipy_optimize():
+    code = "import sys, liftzonoid.cli; print('scipy.optimize' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -31,6 +31,11 @@ class TestGaussianDepth:
             x = radius(alpha) * np.array([1.0, 0.0])
             assert gaussian_depth(std2, x) == pytest.approx(alpha, abs=1e-10)
 
+    def test_radius_of_depth_is_the_norm(self, std2):
+        for rho in np.geomspace(1e-3, 8.0, 200):
+            depth = gaussian_depth(std2, [rho, 0.0])
+            assert radius(depth) == pytest.approx(rho, rel=1e-9)
+
     def test_reference_values(self, std2):
         assert gaussian_depth(std2, [SQRT_2_OVER_PI, 0.0]) == pytest.approx(
             0.5, abs=1e-10
