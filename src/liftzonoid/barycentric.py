@@ -39,7 +39,6 @@ from .measures import (
     EmpiricalMeasure,
     GaussianMeasure,
     HalfSpace,
-    _descending_tail,
     as_vector,
 )
 from .normal import g_inverse, normal_cdf, normal_sf
@@ -160,7 +159,12 @@ def represent(mu, point, refine: bool = False, residual_tol: float | None = None
     offset = mu.upper_quantile(u, alpha)
     hs = HalfSpace(u, offset)
     residual = float(np.linalg.norm(mu.halfspace_barycenter(hs) - x))
-    inclusion = cert.atom_weights * alpha / mu.weights
+    # inclusion gamma_i alpha / w_i read off the packed loading: the common
+    # ratio of the full atoms and the at most d fractional entries
+    loading = cert.loading
+    inclusion = loading.value / loading.mass * alpha / mu.weights[loading.index]
+    if loading.full.any():
+        inclusion = np.append(inclusion, alpha / loading.mass)
     fractional = bool(
         np.any((inclusion > _FRACTION_TOL) & (inclusion < 1.0 - _FRACTION_TOL))
     )
@@ -221,9 +225,10 @@ def _alpha_from_support(mu, u: Direction, h: float) -> float:
             raise NoSolution("support level exceeds every representable trimmed region")
         return alpha
     proj = mu.points @ u.vec
-    order, cum_w = _descending_tail(proj, mu.weights)
-    v = proj[order]
-    cum_vw = np.cumsum(v * mu.weights[order])
+    order = np.argsort(-proj, kind="stable")
+    v, w = proj[order], mu.weights[order]
+    cum_w = np.cumsum(w)
+    cum_vw = np.cumsum(v * w)
     avg = cum_vw / cum_w
     scale = 1.0 + float(np.abs(proj).max())
     if h - v[0] > 1e-9 * scale:

@@ -21,6 +21,7 @@ import logging
 import math
 import os
 import sys
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,7 +51,7 @@ from .errors import (
     ZeroMass,
 )
 from .gaussian import gaussian_depth
-from .measures import Direction, EmpiricalMeasure, GaussianMeasure, HalfSpace, load_measure
+from .measures import Direction, EmpiricalMeasure, GaussianMeasure, HalfSpace, Measure, load_measure
 from .normal import (
     g_inverse,
     g_ratio,
@@ -102,8 +103,7 @@ _GAUSS_FNS = {
 class RunConfig:
     """Resolved run parameters shared by the subcommands."""
 
-    measure_path: str | None = None
-    gaussian_path: str | None = None
+    measure: Measure | None = None
     seed: int = 0
     samples: int = 1_000_000
     workers: int = 1
@@ -155,12 +155,19 @@ def _axis_names(dim: int, prefix: str) -> list[str]:
     return [f"{prefix}{i}" for i in range(dim)]
 
 
-def _load(cfg: RunConfig):
-    return load_measure(cfg.measure_path, cfg.gaussian_path)
+def _load(measure_path: str | None, gaussian_path: str | None) -> Measure:
+    start = time.perf_counter()
+    mu = load_measure(measure_path, gaussian_path)
+    if isinstance(mu, EmpiricalMeasure):
+        log.debug("measure: empirical n=%d d=%d", mu.size, mu.dim)
+    else:
+        log.debug("measure: gaussian d=%d", mu.dim)
+    log.debug("load: %.3f ms", 1e3 * (time.perf_counter() - start))
+    return mu
 
 
 def cmd_depth(cfg: RunConfig, args) -> int:
-    mu = _load(cfg)
+    mu = cfg.measure
     x = _parse_vector(args.point, "--point")
     if isinstance(mu, GaussianMeasure):
         _emit_dict(cfg, {"depth": gaussian_depth(mu, x)})
@@ -171,7 +178,7 @@ def cmd_depth(cfg: RunConfig, args) -> int:
 
 
 def cmd_contour(cfg: RunConfig, args) -> int:
-    mu = _load(cfg)
+    mu = cfg.measure
     if args.directions < 4:
         raise InputFormatError("--directions must be at least 4")
     alpha = float(args.alpha)
@@ -201,7 +208,7 @@ def cmd_contour(cfg: RunConfig, args) -> int:
 
 
 def cmd_support(cfg: RunConfig, args) -> int:
-    mu = _load(cfg)
+    mu = cfg.measure
     u = _parse_vector(args.direction, "--direction")
     if args.lift_t is not None and args.alpha is not None:
         raise InputFormatError("--alpha and --lift-t are mutually exclusive")
@@ -216,7 +223,7 @@ def cmd_support(cfg: RunConfig, args) -> int:
 
 
 def cmd_barycenter(cfg: RunConfig, args) -> int:
-    mu = _load(cfg)
+    mu = cfg.measure
     hs = HalfSpace(
         Direction.of(_parse_vector(args.direction, "--direction")),
         _parse_offset(args.offset),
@@ -228,7 +235,7 @@ def cmd_barycenter(cfg: RunConfig, args) -> int:
 
 
 def cmd_represent(cfg: RunConfig, args) -> int:
-    mu = _load(cfg)
+    mu = cfg.measure
     x = _parse_vector(args.point, "--point")
     result = represent(mu, x, refine=args.refine, residual_tol=cfg.residual_tol)
     _emit_dict(cfg, result.to_json_dict())
@@ -236,7 +243,7 @@ def cmd_represent(cfg: RunConfig, args) -> int:
 
 
 def cmd_coords(cfg: RunConfig, args) -> int:
-    mu = _load(cfg)
+    mu = cfg.measure
     if args.point is not None:
         if args.to is None:
             raise InputFormatError("--point requires --to with the target form")
@@ -278,7 +285,7 @@ def cmd_gaussian(cfg: RunConfig, args) -> int:
 
 
 def cmd_polygon2d(cfg: RunConfig, args) -> int:
-    mu = _load(cfg)
+    mu = cfg.measure
     if not isinstance(mu, EmpiricalMeasure):
         raise InputFormatError("polygon2d needs an empirical measure (--measure)")
     poly = zonotope_polygon_2d(mu)
@@ -291,12 +298,9 @@ def cmd_polygon2d(cfg: RunConfig, args) -> int:
 
 
 def cmd_verify(cfg: RunConfig, args) -> int:
-    measure = None
-    if cfg.measure_path or cfg.gaussian_path:
-        measure = _load(cfg)
     report = run_suite(
         args.suite,
-        measure=measure,
+        measure=cfg.measure,
         seed=cfg.seed,
         samples=cfg.samples,
         workers=cfg.workers,
@@ -403,9 +407,15 @@ def main(argv=None) -> int:
         samples = int(getattr(args, "samples", 1_000_000))
         if samples < 1:
             raise InputFormatError(f"--samples {samples} must be at least 1")
+        log.debug("command: %s", args.command)
+        measure_path = getattr(args, "measure", None)
+        gaussian_path = getattr(args, "gaussian", None)
+        measure = None
+        # every command but gaussian and verify needs a measure
+        if measure_path or gaussian_path or args.command not in ("gaussian", "verify"):
+            measure = _load(measure_path, gaussian_path)
         cfg = RunConfig(
-            measure_path=getattr(args, "measure", None),
-            gaussian_path=getattr(args, "gaussian", None),
+            measure=measure,
             seed=seed,
             samples=samples,
             workers=max(1, int(getattr(args, "workers", 1))),
@@ -413,7 +423,10 @@ def main(argv=None) -> int:
             out=getattr(args, "out", None),
             residual_tol=getattr(args, "residual_tol", None),
         )
-        return _COMMANDS[args.command](cfg, args)
+        start = time.perf_counter()
+        code = _COMMANDS[args.command](cfg, args)
+        log.debug("compute: %.3f ms", 1e3 * (time.perf_counter() - start))
+        return code
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -155,15 +155,8 @@ class GaussianProjection:
     std: float
 
 
-def _descending_tail(values: np.ndarray, weights: np.ndarray):
-    """Stable descending order of ``values`` and the upper mass along it.
-
-    Returns ``(order, cum)`` with ``cum[k]`` the weight of the atoms
-    ``order[:k + 1]``. Shared by :func:`upper_mass_split` and the exact
-    support-to-alpha inversion, so both walk the same tail.
-    """
-    order = np.argsort(-values, kind="stable")
-    return order, np.cumsum(weights[order])
+# candidate sets this small are finished by a stable sort and a cumsum
+_SELECT_BASE = 256
 
 
 def upper_mass_split(values: np.ndarray, weights: np.ndarray, alpha: float):
@@ -172,17 +165,54 @@ def upper_mass_split(values: np.ndarray, weights: np.ndarray, alpha: float):
     Returns ``(threshold, full, tie, residual)``: atoms with value strictly
     above ``threshold`` are fully included and carry mass at most alpha;
     atoms at the threshold share the residual mass ``alpha - mass(full)``.
-    ``threshold`` is always one of the atom values (the upper quantile).
+    ``threshold`` is always one of the atom values (the upper quantile):
+    the largest one whose closed upper mass reaches ``alpha - 1e-12``, or
+    the smallest one when none does. Weights must be positive.
+
+    The threshold comes from a weighted selection, not a full sort. Each
+    round partitions the candidates at the rank that the still missing
+    mass suggests, sums the weights above and at that pivot, and either
+    returns the pivot or keeps the side that holds the crossing; equal
+    weights need one round. A round that keeps more than half of its
+    candidates makes the next pivot the median, so the candidates halve
+    at least every second round: O(log n) rounds and O(n) work with a
+    linear-time partition, for any weights. At most ``_SELECT_BASE``
+    candidates are left to a stable sort.
     """
-    order, cum = _descending_tail(values, weights)
-    k = int(np.searchsorted(cum, alpha - 1e-12))
-    k = min(k, values.size - 1)
-    threshold = float(values[order[k]])
-    full = values > threshold
-    tie = values == threshold
-    mass_full = float(weights[full].sum())
-    residual = min(max(alpha - mass_full, 0.0), float(weights[tie].sum()))
-    return threshold, full, tie, residual
+    target = alpha - 1e-12
+    cv, cw = values, weights
+    above = 0.0  # mass of the atoms above every candidate
+    median_next = False
+    while cv.size > _SELECT_BASE:
+        m = cv.size
+        if median_next:
+            rank = m // 2
+        else:  # descending rank at which equal weights would reach the target
+            share = min(max((target - above) / float(cw.sum()), 0.0), 1.0)
+            rank = max(math.ceil(share * m) - 1, 0)
+        kth = m - 1 - rank
+        pivot = float(np.partition(cv, kth)[kth])
+        gt = cv > pivot
+        mass_gt = float((cw * gt).sum())
+        mass_eq = float(cw[np.flatnonzero(cv == pivot)].sum())
+        if mass_gt > 0.0 and above + mass_gt >= target:
+            keep = np.flatnonzero(gt)
+        elif above + mass_gt + mass_eq < target and (keep := np.flatnonzero(cv < pivot)).size:
+            above += mass_gt + mass_eq
+        else:  # the crossing is at the pivot, or the pivot is the smallest atom
+            threshold, mass_full, mass_tie = pivot, above + mass_gt, mass_eq
+            break
+        median_next = 2 * keep.size > m
+        cv, cw = cv.take(keep), cw.take(keep)
+    else:
+        order = np.argsort(-cv, kind="stable")
+        cum = above + np.cumsum(cw[order])
+        k = min(int(np.searchsorted(cum, target)), cv.size - 1)
+        threshold = float(cv[order[k]])
+        mass_full = above + float(cw[cv > threshold].sum())
+        mass_tie = float(cw[cv == threshold].sum())
+    residual = min(max(alpha - mass_full, 0.0), mass_tie)
+    return threshold, values > threshold, values == threshold, residual
 
 
 def _check_alpha(alpha: float) -> float:

@@ -5,6 +5,8 @@ console script through a real subprocess.
 """
 
 import json
+import os
+import re
 import subprocess
 import sys
 
@@ -376,6 +378,29 @@ class TestPlumbing:
         assert code == 0
         assert not [r for r in caplog.records
                     if "LIFTZONOID_LOG" in r.getMessage()]
+
+
+
+def _cli_process(log_level, *argv):
+    env = {k: v for k, v in os.environ.items() if k != "LIFTZONOID_LOG"}
+    if log_level is not None:
+        env["LIFTZONOID_LOG"] = log_level
+    return subprocess.run([sys.executable, "-m", "liftzonoid.cli", *argv],
+                          capture_output=True, env=env, timeout=60)
+
+
+def test_debug_log_reports_stages(square_csv):
+    argv = ("support", "--measure", square_csv, "--alpha", "0.5",
+            "--direction", "1,0")
+    debug = _cli_process("debug", *argv)
+    default = _cli_process(None, *argv)
+    assert debug.returncode == default.returncode == 0
+    assert debug.stdout == default.stdout
+    assert default.stderr == b""
+    err = debug.stderr.decode()
+    for pattern in (r"command: support$", r"measure: empirical n=4 d=2$",
+                    r"load: \d+\.\d{3} ms$", r"compute: \d+\.\d{3} ms$"):
+        assert re.search(pattern, err, re.MULTILINE), (pattern, err)
 
 
 def test_closed_stdout_exits_141_without_traceback():

@@ -2,6 +2,7 @@
 
 import json
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -18,12 +19,15 @@ from liftzonoid import (
     HalfSpace,
     InputFormatError,
     NonFinite,
+    TrimmedRegionQuery,
     ZeroMass,
     load_empirical_csv,
     load_gaussian_json,
     load_measure,
+    support_trimmed,
+    trimmed_boundary_point,
 )
-from liftzonoid.measures import upper_mass_split
+from liftzonoid.measures import _SELECT_BASE, upper_mass_split
 
 
 class TestDirection:
@@ -98,6 +102,99 @@ class TestUpperMassSplit:
         thr, full, tie, residual = upper_mass_split(v, np.array([0.5, 0.5]), 1.0)
         assert thr == -5.0
         assert full.sum() + tie.sum() == 2
+
+
+def _sorted_split(values, weights, alpha):
+    """The upper-alpha split by a full stable sort and a running sum."""
+    order = np.argsort(-values, kind="stable")
+    cum = np.cumsum(weights[order])
+    k = min(int(np.searchsorted(cum, alpha - 1e-12)), values.size - 1)
+    threshold = float(values[order[k]])
+    full = values > threshold
+    tie = values == threshold
+    residual = min(max(alpha - float(weights[full].sum()), 0.0), float(weights[tie].sum()))
+    return threshold, full, tie, residual
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.one_of(st.integers(1, 40), st.integers(_SELECT_BASE - 2, _SELECT_BASE + 2),
+                st.integers(_SELECT_BASE, 8 * _SELECT_BASE)),
+    levels=st.one_of(st.integers(1, 12), st.integers(13, 4000)),
+    weights=st.sampled_from(["uniform", "small", "wide"]),
+    alpha_kind=st.sampled_from(["tiny", "k/n", "cum", "one", "random"]),
+    fraction=st.floats(0.0, 1.0),
+)
+@settings(max_examples=300, deadline=None)
+def test_selection_matches_sorted_split(seed, n, levels, weights, alpha_kind, fraction):
+    # integer clouds, tie-heavy at few levels, below and well above the sorted base case
+    rng = np.random.default_rng(seed)
+    v = rng.integers(-levels, levels + 1, n).astype(float)
+    top = {"uniform": 1, "small": 4, "wide": 1000}[weights]
+    w = rng.integers(1, top + 1, n).astype(float)
+    w /= w.sum()
+    k = min(int(fraction * n), n - 1)
+    alpha = {
+        "tiny": 1e-12,
+        "k/n": (k + 1) / n,
+        "cum": min(float(np.cumsum(w[np.argsort(-v, kind="stable")])[k]), 1.0),
+        "one": 1.0,
+        "random": max(fraction, 1e-12),
+    }[alpha_kind]
+    thr, full, tie, residual = upper_mass_split(v, w, alpha)
+    ref_thr, ref_full, ref_tie, ref_residual = _sorted_split(v, w, alpha)
+    assert thr == ref_thr
+    np.testing.assert_array_equal(full, ref_full)
+    np.testing.assert_array_equal(tie, ref_tie)
+    assert abs(residual - ref_residual) <= 1e-15
+
+
+class TestSelectionWorstCase:
+    """Deterministic guards on the selection's work, by counting calls."""
+
+    @staticmethod
+    def _record(monkeypatch, name):
+        sizes = []
+        original = getattr(np, name)
+
+        def wrapped(a, *args, **kwargs):
+            sizes.append(np.asarray(a).size)
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, name, wrapped)
+        return sizes
+
+    def test_no_full_sort(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        n = 10_000
+        pts = np.round(rng.standard_normal((n, 2)), 1)
+        w = rng.uniform(0.5, 2.0, n)
+        mu = EmpiricalMeasure(pts, w / w.sum())
+        u = Direction.of([0.6, 0.8])
+        sizes = self._record(monkeypatch, "argsort")
+        for alpha in (1e-6, 0.1, 0.5, 0.9, 1.0):
+            query = TrimmedRegionQuery(alpha, u)
+            support_trimmed(mu, query)
+            trimmed_boundary_point(mu, query)
+            mu.upper_quantile(u, alpha)
+        assert max(sizes, default=0) <= _SELECT_BASE
+
+    @pytest.mark.parametrize("profile", ["geometric", "bottom-heavy"])
+    @pytest.mark.parametrize("alpha", [1e-6, 0.1, 0.9])
+    def test_partition_rounds_logarithmic(self, monkeypatch, profile, alpha):
+        n = 10_000
+        v = np.random.default_rng(5).permutation(n).astype(float)
+        rank = np.argsort(np.argsort(-v))  # 0 at the largest value
+        if profile == "geometric":  # weights falling geometrically with the value's rank
+            w = 0.99 ** rank
+        else:  # 99% of the mass on the lowest 1% of the atoms
+            w = np.where(rank >= n - n // 100, 99.0 / (n // 100), 1.0 / (n - n // 100))
+        w = w / w.sum()
+        rounds = self._record(monkeypatch, "partition")
+        result = upper_mass_split(v, w, alpha)
+        monkeypatch.undo()
+        assert len(rounds) <= 2 * math.ceil(math.log2(n)) + 2
+        assert result[0] == _sorted_split(v, w, alpha)[0]
 
 
 class TestEmpiricalMeasure:
