@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import owens_t
 
 from .config import DEFAULT_TOLS
 from .depth import DepthStatus, zonoid_depth
@@ -304,6 +303,8 @@ def _upper_orthant(c1: float, c2: float, rho: float) -> float:
     """
     if c1 == 0.0 and c2 == 0.0:
         return 0.25 + math.asin(rho) / (2.0 * math.pi)
+    from scipy.special import owens_t  # no CLI command reaches this; kept off the start-up path
+
     root = math.sqrt(1.0 - rho * rho)
 
     def term(c, other):

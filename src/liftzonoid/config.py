@@ -19,7 +19,8 @@ class Tolerances:
     weight_sum: float = 1e-12
     # CSV ingestion renormalizes silently below this, with a warning above
     weight_warn: float = 1e-9
-    # relative rank cutoff for the centered atom matrix (pivoted QR)
+    # affine-span rank cutoff: a singular value of the centered atom matrix
+    # counts when it exceeds this times the largest centered atom norm
     rank: float = 1e-10
     # a depth LP optimum at or below this puts the point outside the hull
     lp_feasibility: float = 1e-9

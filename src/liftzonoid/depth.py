@@ -25,10 +25,9 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-import scipy.linalg
 
 from .config import DEFAULT_TOLS
-from .errors import DegenerateMeasure, NoDual, NonFinite, TooLarge
+from .errors import DegenerateMeasure, NoDual, NonFinite, NotConverged, TooLarge
 from .measures import Direction, EmpiricalMeasure, as_vector
 from .sampling import direction_grid
 from .simplex import solve_bounded_lp
@@ -111,11 +110,11 @@ def check_affine_span(mu: EmpiricalMeasure) -> None:
     # compared exactly: the mean of coincident atoms may round away from them
     if np.all(mu.points == mu.points[0]):
         raise DegenerateMeasure("all atoms coincide; no affine span")
-    centered = (mu.points - mu.mean()).T  # (d, n)
-    top = float(np.linalg.norm(centered, axis=0).max())
-    r = scipy.linalg.qr(centered, mode="r", pivoting=True)[0]
-    diag = np.abs(np.diag(r))
-    rank = int(np.sum(diag > DEFAULT_TOLS.rank * top))
+    centered = mu.points - mu.mean()  # (n, d)
+    top = float(np.linalg.norm(centered, axis=1).max())
+    # the small triangular factor has the singular values of the whole matrix
+    sv = np.linalg.svd(np.linalg.qr(centered, mode="r"), compute_uv=False)
+    rank = int(np.sum(sv > DEFAULT_TOLS.rank * top))
     if rank < mu.dim:
         raise DegenerateMeasure(
             f"atoms affinely span a {rank}-dimensional subspace of R^{mu.dim}"
@@ -144,8 +143,11 @@ def zonoid_depth(mu: EmpiricalMeasure, point) -> DepthCertificate:
     n = mu.size
     A = (mu.points - x).T  # (d, n)
     res = solve_bounded_lp(A, np.zeros(mu.dim), np.ones(n), np.zeros(n), mu.weights)
-    if res.status != "optimal":  # b = 0 is always feasible
-        raise AssertionError(f"depth LP returned {res.status}")
+    if res.status != "optimal":  # b = 0 is feasible: only rounding gets here
+        raise NotConverged(
+            "depth LP lost feasibility to rounding; the atoms lie numerically "
+            "close to a hyperplane"
+        )
     alpha = float(res.objective)
     if alpha <= DEFAULT_TOLS.lp_feasibility:
         return DepthCertificate(

@@ -5,13 +5,22 @@ I(a) = pdf(quantile(a)), the trimmed-ball radius r(a) = I(a)/a, and the
 density-to-distribution ratio G(u) = pdf(u)/cdf(u) with its inverse.
 Everything here is plain-float and measure-free; measure-level Gaussian
 operations live in :mod:`liftzonoid.gaussian`.
+
+In the left tail G needs the scaled complementary error function
+erfcx(x) = exp(x^2) erfc(x). Like W. J. Cody ("Rational Chebyshev
+approximations for the error function", Math. Comp. 1969) and S. G.
+Johnson's Faddeeva package, it is computed by regime, here with ``math``
+alone:
+
+- below x = 25, exp(x^2) erfc(x), with x^2 split exactly into hi + lo
+  (Dekker's product) so that ``exp`` sees no rounding error;
+- from x = 25 on, where erfc nears underflow, Laplace's continued
+  fraction, evaluated backward with a fixed number of terms.
 """
 
 from __future__ import annotations
 
 import math
-
-from scipy.special import erfcx as _erfcx
 
 from .errors import DomainError
 
@@ -51,6 +60,13 @@ _ACKLAM_D = (
     3.754408661907416e00,
 )
 _ACKLAM_SPLIT = 0.02425
+
+# erfcx regimes: exp(x^2) erfc(x) below the switch, where erfc(25) ~ 8e-274
+# is still a normal float; the continued fraction above it, where 12 terms
+# leave a truncation error below 1e-30 at the switch and less beyond
+_ERFCX_SWITCH = 25.0
+_ERFCX_TERMS = 12
+_DEKKER_SPLIT = 134217729.0  # 2**27 + 1: splits a double into two 26-bit halves
 
 
 def normal_pdf(u: float) -> float:
@@ -140,19 +156,44 @@ def radius(alpha: float) -> float:
     return isoperimetric(alpha) / alpha
 
 
+def _laplace_fraction(x: float) -> float:
+    """1/(sqrt(pi) erfcx(x)) = x + (1/2)/(x + 1/(x + (3/2)/(x + ...))), x >= 25."""
+    t = x
+    for k in range(_ERFCX_TERMS, 0, -1):
+        t = x + 0.5 * k / t
+    return t
+
+
+def _erfcx(x: float) -> float:
+    """Scaled complementary error function exp(x^2) erfc(x), 0 <= x < 25."""
+    hi = x * x
+    c = _DEKKER_SPLIT * x
+    xh = c - (c - x)
+    xl = x - xh
+    lo = ((xh * xh - hi) + 2.0 * xh * xl) + xl * xl  # x^2 = hi + lo exactly
+    # exp(lo) = 1 + lo to within lo^2 / 2 < 2e-27
+    return math.exp(hi) * (1.0 + lo) * math.erfc(x)
+
+
 def g_ratio(u: float) -> float:
     """Ratio G(u) = pdf(u)/cdf(u), strictly decreasing from +inf to 0.
 
     For u <= 0 the ratio is evaluated through the scaled complementary
     error function, so there is no 0/0 underflow deep in the left tail.
+    The endpoints return the limits: G(-inf) = +inf and G(+inf) = 0.
     """
     u = float(u)
     if math.isnan(u):
         raise DomainError("g_ratio: argument is NaN")
     if u > 0.0:
         return normal_pdf(u) / normal_cdf(u)
-    # pdf(u)/cdf(u) = sqrt(2/pi) / erfcx(-u/sqrt(2)) for u <= 0
-    return _SQRT_2_OVER_PI / float(_erfcx(-u / _SQRT2))
+    # pdf(u)/cdf(u) = sqrt(2/pi) / erfcx(x) at x = -u/sqrt(2)
+    x = -u / _SQRT2
+    if x < _ERFCX_SWITCH:
+        return _SQRT_2_OVER_PI / _erfcx(x)
+    # there the ratio is sqrt(2) times Laplace's fraction, which neither
+    # overflows nor vanishes for finite x and is +inf at x = +inf
+    return _SQRT2 * _laplace_fraction(x)
 
 
 def _g_ratio_derivative(u: float, g: float) -> float:

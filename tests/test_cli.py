@@ -272,6 +272,25 @@ class TestGaussianCommand:
         code, _, _ = run_cli(capsys, "gaussian", "tangent", "1.0")
         assert code == 1
 
+    @pytest.mark.parametrize("x", ["-inf", "inf", "0", "nan"])
+    @pytest.mark.parametrize("fn", ["pdf", "cdf", "quantile", "isoperimetric",
+                                    "radius", "g", "ginv"])
+    def test_special_arguments_give_value_or_error_line(self, capsys, fn, x):
+        code, out, err = run_cli(capsys, "gaussian", fn, "--", x)
+        assert "Traceback" not in out + err
+        if code == 0:
+            float(out)  # one printed value, possibly a limit such as inf
+            assert err == ""
+        else:
+            assert code == 1 and out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("x,expected", [("-inf", "inf"), ("inf", "0")])
+    def test_g_endpoints_are_limits(self, capsys, x, expected):
+        code, out, _ = run_cli(capsys, "gaussian", "g", "--", x)
+        assert code == 0
+        assert out.strip() == expected
+
 
 class TestPolygonCommand:
     def test_square(self, capsys, square_csv):
@@ -424,6 +443,26 @@ def test_console_script_installed():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "0.398942280401433"
+
+
+def test_commands_run_without_loading_scipy(tmp_path):
+    csv = tmp_path / "square.csv"
+    csv.write_text(SQUARE_CSV)
+    code = (
+        "import json, sys, liftzonoid.cli as cli\n"
+        "codes = [cli.main(argv) for argv in (\n"
+        "    ['gaussian', 'g', '--', '-3'],\n"
+        f"    ['depth', '--measure', {str(csv)!r}, '--point', '0.2,0.1'],\n"
+        "    ['verify', '--suite=gaussian', '--samples=1000'])]\n"
+        "print(json.dumps([codes, sorted(m for m in sys.modules\n"
+        "                                if m.split('.')[0] == 'scipy')]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    codes, scipy_modules = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [0, 0, 0]
+    assert scipy_modules == []
 
 
 def test_startup_does_not_import_scipy_optimize():

@@ -16,6 +16,7 @@ from liftzonoid import (
     DepthStatus,
     Direction,
     EmpiricalMeasure,
+    LiftZonoidError,
     NoDual,
     NonFinite,
     TooLarge,
@@ -238,6 +239,78 @@ class TestErrors:
         wide = cloud(2, n=8, d=4)
         with pytest.raises(TooLarge):
             depth_bruteforce_oracle(wide, np.zeros(4), grid=16)
+
+
+def _cloud_with_smallest_singular_value(seed, n, d, log_ratio, scale):
+    """n atoms in R^d whose centered matrix has smallest singular value
+    10**log_ratio times its largest, shifted off the origin and scaled."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, d))
+    u, s, vt = np.linalg.svd(a - a.mean(axis=0), full_matrices=False)
+    s[-1] = s[0] * 10.0 ** log_ratio
+    return EmpiricalMeasure.uniform(scale * ((u * s) @ vt + rng.standard_normal(d)))
+
+
+def _smallest_singular_value_over_top(mu):
+    centered = mu.points - mu.mean()
+    top = np.linalg.norm(centered, axis=1).max()
+    return np.linalg.svd(centered, compute_uv=False)[-1] / top
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    d=st.integers(min_value=2, max_value=5),
+    extra=st.integers(min_value=1, max_value=35),
+    flat=st.booleans(),
+    log_ratio=st.floats(min_value=0.0, max_value=1.0),
+    log_scale=st.floats(min_value=-3.0, max_value=3.0),
+)
+@settings(max_examples=200, deadline=None)
+def test_span_check_cuts_singular_values_relative_to_top_atom(
+        seed, d, extra, flat, log_ratio, log_scale):
+    # flat clouds get a ratio in [1e-16, 1e-13.5], spanning ones in [1e-7.5, 1]
+    log_ratio = -16.0 + 2.5 * log_ratio if flat else -7.5 + 7.5 * log_ratio
+    mu = _cloud_with_smallest_singular_value(seed, d + extra, d, log_ratio,
+                                             10.0 ** log_scale)
+    ratio = _smallest_singular_value_over_top(mu)
+    if ratio <= 1e-12:
+        with pytest.raises(DegenerateMeasure):
+            check_affine_span(mu)
+    else:
+        assert ratio >= 1e-8
+        check_affine_span(mu)
+
+
+def test_span_verdict_flips_near_the_cutoff_still_give_typed_answers():
+    # The pivoted-QR diagonal that the span check once used can fall below
+    # the cutoff while every singular value stays above it. Such clouds are
+    # now accepted; the depth LP must answer them or raise a package error.
+    import scipy.linalg
+
+    flipped = 0
+    for seed in range(600):
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(2, 6))
+        mu = _cloud_with_smallest_singular_value(
+            seed, d + int(rng.integers(1, 40)), d,
+            rng.uniform(-11.0, -9.4), 10.0 ** rng.uniform(-3.0, 3.0))
+        centered = (mu.points - mu.mean()).T
+        top = np.linalg.norm(centered, axis=0).max()
+        diag = np.abs(np.diag(scipy.linalg.qr(centered, mode="r", pivoting=True)[0]))
+        if diag.min() > 1e-10 * top:
+            continue
+        try:
+            check_affine_span(mu)
+        except DegenerateMeasure:
+            continue
+        flipped += 1
+        for x in (mu.mean() + 0.5 * (mu.points[0] - mu.mean()), mu.points[0]):
+            try:
+                cert = zonoid_depth(mu, x)
+            except LiftZonoidError:
+                continue
+            assert 0.0 <= cert.depth <= 1.0
+    assert flipped >= 10
 
 
 @given(st.integers(min_value=0, max_value=10_000))

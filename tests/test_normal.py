@@ -184,3 +184,49 @@ def test_radius_chain_identity():
 def test_isoperimetric_domain(a):
     with pytest.raises(DomainError):
         isoperimetric(a)
+
+
+def _g_reference(u, mpmath):
+    """G(u) = pdf(u)/cdf(u) at 120 bits; mpmath floats do not underflow."""
+    v = mpmath.mpf(u)
+    return float(mpmath.exp(-v * v / 2) / mpmath.sqrt(2 * mpmath.pi)
+                 / (mpmath.erfc(-v / mpmath.sqrt(2)) / 2))
+
+
+def test_g_ratio_against_mpmath():
+    import mpmath
+
+    rng = np.random.default_rng(20260)
+    switch = -25.0 * np.sqrt(2.0)  # u where the erfcx regimes meet
+    u = np.concatenate([
+        -rng.uniform(0.0, 40.0, 12_000),
+        -np.logspace(-300.0, 1.0, 4_000),
+        switch + rng.uniform(-0.5, 0.5, 3_980),
+        switch + np.arange(-10, 10) * np.spacing(switch),
+    ])
+    with mpmath.workprec(120):
+        worst = max(abs(g_ratio(float(v)) / _g_reference(v, mpmath) - 1.0) for v in u)
+    assert worst <= 1e-15
+
+
+def test_g_ratio_against_scipy_erfcx():
+    from scipy.special import erfcx
+
+    u = -np.random.default_rng(7).uniform(0.0, 40.0, 1_000_000)
+    reference = np.sqrt(2.0 / np.pi) / erfcx(-u / np.sqrt(2.0))
+    mine = np.array([g_ratio(v) for v in u.tolist()])
+    assert np.max(np.abs(mine - reference) / reference) <= 2e-15
+
+
+def test_g_inverse_inverts_g_ratio_on_wide_range():
+    for u in np.linspace(-38.0, 8.0, 2_001).tolist():
+        assert abs(g_inverse(g_ratio(u)) - u) <= 1e-12 * (1.0 + abs(u))
+
+
+def test_g_ratio_endpoint_limits():
+    assert g_ratio(float("-inf")) == float("inf")
+    assert g_ratio(float("inf")) == 0.0
+    # G(u) = -u - 1/u + ..., so huge finite arguments stay finite and exact
+    assert g_ratio(-1.5e308) == 1.5e308
+    with pytest.raises(DomainError):
+        g_ratio(float("nan"))
