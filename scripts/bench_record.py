@@ -2,21 +2,22 @@
 """Record benchmark runs of one or more checkouts into BENCH_<label>.json.
 
 Runs the unchanged ``bench/run.py`` of each checkout for every workload and
-seed, one process at a time. The checkouts take turns seed by seed, and
-which one goes first alternates from seed to seed, so that a drift in host
-speed hits them alike. For each run the file
-keeps the stamp line and the final JSON object that ``run.py`` prints; a
-summary gives each metric's median and quartiles per checkout, workload
-and trace mode. Uses the standard library only.
+seed, one process at a time, each for the ``run_seconds`` that
+BENCHMARK.json sets. The checkouts take turns seed by seed, and which one
+goes first alternates from seed to seed, so that a drift in host speed hits
+them alike. For each run the file keeps the stamp line and the final JSON
+object that ``run.py`` prints; a summary gives each metric's median and
+quartiles per checkout, workload and trace mode, with the seed syntax and
+quartile method of ``bench/spread.py``. Uses the standard library only.
 
 Usage (from the root of a checkout; the parent is a second checkout):
 
     python3 scripts/bench_record.py --label example \\
         --checkout parent=../parent --checkout change=. \\
-        --workload cli-session --seeds 1-10 --seconds 20
+        --workload cli-session --seeds 1-10
     python3 scripts/bench_record.py --label example --append \\
         --checkout parent=../parent --checkout change=. \\
-        --workload depth contour coords --seeds 1 --seconds 20
+        --workload depth contour coords --seeds 11-20
 
 ``--append`` adds the runs to an existing file and recomputes its summary.
 """
@@ -24,6 +25,7 @@ Usage (from the root of a checkout; the parent is a second checkout):
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import statistics
 import subprocess
@@ -32,14 +34,11 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 RUN_TIMEOUT_S = 1800
+RUN_SECONDS = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
 
-
-def seed_list(text: str) -> list[int]:
-    """``1-10`` or ``1,5,9``."""
-    if "-" in text:
-        lo, hi = text.split("-")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(s) for s in text.split(",")]
+_spread_spec = importlib.util.spec_from_file_location("bench_spread", ROOT / "bench" / "spread.py")
+spread = importlib.util.module_from_spec(_spread_spec)
+_spread_spec.loader.exec_module(spread)
 
 
 def checkout(text: str) -> tuple[str, Path]:
@@ -51,9 +50,9 @@ def checkout(text: str) -> tuple[str, Path]:
     return name, root
 
 
-def run_once(root: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+def run_once(root: Path, workload: str, seed: int, trace: int) -> dict:
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", str(trace)]
+           "--seconds", str(RUN_SECONDS), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True,
                           timeout=RUN_TIMEOUT_S, check=True)
     stamp_line, result_line = proc.stdout.strip().splitlines()[-2:]
@@ -61,10 +60,9 @@ def run_once(root: Path, workload: str, seed: int, seconds: float, trace: int) -
 
 
 def quartiles(values: list[float]) -> dict:
-    if len(values) == 1:
-        q1 = median = q3 = values[0]
-    else:
-        q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    """Median and quartiles, the quartiles as ``bench/spread.py`` takes them."""
+    median = statistics.median(values)
+    q1, _, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else (median,) * 3
     return {"median": median, "q1": q1, "q3": q3, "n": len(values)}
 
 
@@ -89,8 +87,7 @@ def main(argv=None) -> int:
     parser.add_argument("--checkout", type=checkout, action="append", required=True,
                         help="NAME=PATH; repeat to compare checkouts")
     parser.add_argument("--workload", nargs="+", required=True)
-    parser.add_argument("--seeds", type=seed_list, default=seed_list("1"), help="e.g. 1-10 or 1,5,9")
-    parser.add_argument("--seconds", type=float, default=20.0)
+    parser.add_argument("--seeds", type=spread.seed_list, default=[1], help="e.g. 1-10 or 1,5,9")
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--append", action="store_true", help="add to an existing file")
     parser.add_argument("--out-dir", type=Path, default=ROOT)
@@ -101,7 +98,7 @@ def main(argv=None) -> int:
     for workload in args.workload:
         for i, seed in enumerate(args.seeds):
             for name, root in args.checkout[::-1] if i % 2 else args.checkout:
-                run = run_once(root, workload, seed, args.seconds, args.trace)
+                run = run_once(root, workload, seed, args.trace)
                 runs.append({"checkout": name, **run})
                 ok = run["result"]["metrics"].get("ok_frac", {}).get("value")
                 print(f"{name} {workload} seed {seed} trace {args.trace}: ok_frac {ok}", file=sys.stderr)

@@ -16,9 +16,9 @@ from liftzonoid import (
     DepthStatus,
     Direction,
     EmpiricalMeasure,
-    LiftZonoidError,
     NoDual,
     NonFinite,
+    NotConverged,
     TooLarge,
     TrimmedRegionQuery,
     depth_bruteforce_oracle,
@@ -281,23 +281,33 @@ def test_span_check_cuts_singular_values_relative_to_top_atom(
         check_affine_span(mu)
 
 
-def test_span_verdict_flips_near_the_cutoff_still_give_typed_answers():
-    # The pivoted-QR diagonal that the span check once used can fall below
-    # the cutoff while every singular value stays above it. Such clouds are
-    # now accepted; the depth LP must answer them or raise a package error.
+def _near_cutoff_cloud(seed):
+    """A seeded cloud whose smallest singular value lies near the cutoff."""
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(2, 6))
+    return _cloud_with_smallest_singular_value(
+        seed, d + int(rng.integers(1, 40)), d,
+        rng.uniform(-11.0, -9.4), 10.0 ** rng.uniform(-3.0, 3.0))
+
+
+def _pivoted_qr_rule_accepts(mu):
+    """The span rule once used: every pivoted-QR diagonal entry above the cutoff."""
     import scipy.linalg
 
-    flipped = 0
+    centered = (mu.points - mu.mean()).T
+    top = np.linalg.norm(centered, axis=0).max()
+    diag = np.abs(np.diag(scipy.linalg.qr(centered, mode="r", pivoting=True)[0]))
+    return bool(diag.min() > 1e-10 * top)
+
+
+def test_span_verdict_flips_near_the_cutoff_still_give_depth_answers():
+    # The pivoted-QR diagonal can fall below the cutoff while every singular
+    # value stays above it. Such clouds are now accepted; the depth LP must
+    # answer nearly all of them, and raise only NotConverged otherwise.
+    flipped = certified = 0
     for seed in range(600):
-        rng = np.random.default_rng(seed)
-        d = int(rng.integers(2, 6))
-        mu = _cloud_with_smallest_singular_value(
-            seed, d + int(rng.integers(1, 40)), d,
-            rng.uniform(-11.0, -9.4), 10.0 ** rng.uniform(-3.0, 3.0))
-        centered = (mu.points - mu.mean()).T
-        top = np.linalg.norm(centered, axis=0).max()
-        diag = np.abs(np.diag(scipy.linalg.qr(centered, mode="r", pivoting=True)[0]))
-        if diag.min() > 1e-10 * top:
+        mu = _near_cutoff_cloud(seed)
+        if _pivoted_qr_rule_accepts(mu):
             continue
         try:
             check_affine_span(mu)
@@ -307,10 +317,29 @@ def test_span_verdict_flips_near_the_cutoff_still_give_typed_answers():
         for x in (mu.mean() + 0.5 * (mu.points[0] - mu.mean()), mu.points[0]):
             try:
                 cert = zonoid_depth(mu, x)
-            except LiftZonoidError:
+            except NotConverged:
                 continue
-            assert 0.0 <= cert.depth <= 1.0
-    assert flipped >= 10
+            certified += 1
+            # an atom, and the midpoint between it and the mean, lie in the
+            # region trimmed at the atom's weight
+            assert mu.weights[0] - 1e-9 <= cert.depth <= 1.0
+    assert flipped >= 100
+    assert certified >= 0.95 * 2 * flipped
+
+
+def test_span_verdict_flip_the_other_way_just_under_the_cutoff():
+    # seed 476 gives d = 5 and a smallest singular value 0.76 times the
+    # cutoff, while the pivoted-QR diagonal stays 1.03 times above it
+    mu = _near_cutoff_cloud(476)
+    centered = mu.points - mu.mean()
+    ratio = (np.linalg.svd(centered, compute_uv=False)[-1]
+             / np.linalg.norm(centered, axis=1).max())
+    assert 0.5e-10 < ratio < 1e-10
+    assert _pivoted_qr_rule_accepts(mu)
+    with pytest.raises(DegenerateMeasure):
+        check_affine_span(mu)
+    with pytest.raises(DegenerateMeasure):
+        zonoid_depth(mu, mu.mean())
 
 
 @given(st.integers(min_value=0, max_value=10_000))
