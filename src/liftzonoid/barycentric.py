@@ -39,6 +39,7 @@ from .measures import (
     GaussianMeasure,
     HalfSpace,
     as_vector,
+    upper_mass_split,
 )
 from .normal import g_inverse, normal_cdf, normal_sf
 from .zonoid import TrimmedRegionQuery, support_trimmed, trimmed_boundary_point
@@ -203,12 +204,18 @@ def _alpha_from_support(mu, u: Direction, h: float) -> float:
     """Invert the strictly decreasing alpha -> h(D_alpha, u) map exactly.
 
     Gaussian measures use alpha = Phi(G^-1((h - s)/sigma)). For empirical
-    measures one descending sort gives the running averages
-    cumsum(v w)/cumsum(w), which are h at the atom masses; on the segment
-    where atom k is marginal, h alpha = C + (alpha - W) v_k with C, W the
-    value-weight and weight sums above k, solved for alpha. A level at the
-    farthest projection returns 1e-12, one at the mean returns 1.0; a
-    level more than 1e-9 (relative) outside that range raises NoSolution.
+    measures the trimmed support is a tail mean, alpha h = min_t
+    [E(V - t)_+ + alpha t] with V = <X, u>, so the depth of a level is
+    alpha = min_{t<h} E(V - t)_+ / (h - t), attained at the marginal atom
+    value v_k: the largest atom value below h at which the running
+    deficit sum_{h > v_i >= v_k} w_i (h - v_i) reaches the excess
+    P = E(V - h)_+. That is a weighted selection (``upper_mass_split``
+    over the atoms below h, weights w_i (h - v_i)/P, level 1), O(n)
+    expected, not a sort. Then alpha = W_> + sum_{v_i > v_k} w_i (v_i - h)
+    / (h - v_k), clipped to [W_>, W_>=], the masses above and at v_k. A
+    level at the farthest projection returns 1e-12, one at the mean
+    returns 1.0; a level more than 1e-9 (relative) outside that range
+    raises NoSolution.
     """
     if isinstance(mu, GaussianMeasure):
         s, sigma = mu._projection_params(u)
@@ -224,28 +231,33 @@ def _alpha_from_support(mu, u: Direction, h: float) -> float:
             raise NoSolution("support level exceeds every representable trimmed region")
         return alpha
     proj = mu.points @ u.vec
-    order = np.argsort(-proj, kind="stable")
-    v, w = proj[order], mu.weights[order]
-    cum_w = np.cumsum(w)
-    cum_vw = np.cumsum(v * w)
-    avg = cum_vw / cum_w
-    scale = 1.0 + float(np.abs(proj).max())
-    if h - v[0] > 1e-9 * scale:
+    w = mu.weights
+    top, low = float(proj.max()), float(proj.min())
+    mean = float(w @ proj)
+    scale = 1.0 + max(top, -low)
+    if h - top > 1e-9 * scale:
         raise NoSolution("support level exceeds the farthest atom projection")
-    if avg[-1] - h > 1e-9 * scale:
+    if mean - h > 1e-9 * scale:
         raise NoSolution("support level lies below the mean projection")
-    if h >= v[0]:
+    if h >= top:
         return 1e-12
-    if h <= avg[-1] + 1e-13 * scale:  # the mean, up to the rounding of its sum
+    if h <= mean + 1e-13 * scale:  # the mean, up to the rounding of its sum
         return 1.0
-    k = int(np.searchsorted(-avg, -h))  # first atom whose running average reaches h
-    vk = float(v[k])
-    hi = min(float(cum_w[k]), 1.0)
-    if h <= vk:  # only by rounding: a running average never falls below v_k
-        return hi
-    lo = float(cum_w[k - 1])
-    alpha = (float(cum_vw[k - 1]) - lo * vk) / (h - vk)
-    return min(max(alpha, lo), hi)
+    gap = proj - h
+    excess = float(w @ np.maximum(gap, 0.0))
+    if excess <= np.finfo(float).tiny * (h - low):
+        # P underflowed (h a few ulps below a top near 0), or dividing by it
+        # would overflow: alpha is the mass at or above h, up to P / (h - v_k)
+        return float(w @ (gap >= 0.0))
+    below = np.flatnonzero(gap < 0.0)
+    # normalised by P, the kernel's absolute 1e-12 slack is relative: a
+    # neighbouring segment moves alpha by at most 1e-12, as P/(h - v_k) <= alpha
+    vk, _, _, _ = upper_mass_split(proj[below], w[below] * (gap[below] / -excess), 1.0)
+    w_gt = w * (proj > vk)
+    mass_gt = float(w_gt.sum())
+    mass_ge = mass_gt + float(w[proj == vk].sum())
+    alpha = mass_gt + float(w_gt @ gap) / (h - vk)
+    return min(max(alpha, mass_gt), mass_ge, 1.0)
 
 
 def point_from_coords(mu, coords: BarycentricCoords) -> np.ndarray:

@@ -120,7 +120,7 @@ def support_lift_zonoid(mu, lift: LiftDirection) -> float:
 def _trimmed_support_empirical(pts, w, u, alpha):
     v = pts @ u
     threshold, full, _, residual = upper_mass_split(v, w, alpha)
-    return (float(w[full] @ v[full]) + residual * threshold) / alpha
+    return (float((w * full) @ v) + residual * threshold) / alpha
 
 
 def support_trimmed(mu, query: TrimmedRegionQuery) -> float:
@@ -153,7 +153,7 @@ def trimmed_boundary_point(mu, query: TrimmedRegionQuery) -> np.ndarray:
     if isinstance(mu, EmpiricalMeasure):
         v = mu.points @ u.vec
         _, full, tie, residual = upper_mass_split(v, mu.weights, alpha)
-        acc = mu.weights[full] @ mu.points[full]
+        acc = (mu.weights * full) @ mu.points
         mass_tie = float(mu.weights[tie].sum())
         if mass_tie > 0.0 and residual > 0.0:
             acc = acc + (residual / mass_tie) * (mu.weights[tie] @ mu.points[tie])

@@ -1,6 +1,7 @@
 """Half-space barycentric representation and the three coordinate forms."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -343,3 +344,97 @@ def test_support_one_ulp_below_the_top_ends_the_flat_segment():
     u = Direction([1.0])
     assert 0.7 * 0.4 / 0.4 < 0.7
     assert _alpha_from_support(mu, u, float(np.nextafter(0.7, -np.inf))) == 0.4
+
+
+def test_support_one_ulp_below_a_tied_top_takes_the_whole_tie():
+    # atoms [0.6, 0.3, 0.6]: the running average over the two top atoms
+    # rounds below 0.6, but a level just below the top ends the flat
+    # segment at the mass of both of them, not part-way through the tie
+    rng = np.random.default_rng(83)
+    pts = rng.integers(0, 4, size=(3, 1)) * 0.3
+    w = rng.uniform(0.5, 2.0, 3)
+    mu = EmpiricalMeasure(pts, w / w.sum())
+    u = Direction([1.0])
+    coords = BarycentricCoords(CoordKind.SUPPORT, 0.5999999999999999, u)
+    alpha = convert_coords(mu, coords, CoordKind.DEPTH).scalar
+    assert alpha == pytest.approx(0.718857683819564, abs=1e-12)
+    assert alpha == pytest.approx(float(mu.weights[[0, 2]].sum()), abs=1e-15)
+
+
+@pytest.mark.parametrize("top_mass", [0.3, 0.7])
+def test_support_excess_underflow_returns_the_top_mass(top_mass):
+    # a level one step below a top at 0: the excess E(V - h)_+ underflows
+    # to 0 (mass 0.3) or to the smallest subnormal (mass 0.7), too small
+    # to normalise the deficits of the 1000 atoms below by
+    rng = np.random.default_rng(5)
+    n = 1000
+    pts = np.concatenate([[0.0], -rng.uniform(0.5, 2.0, n)])[:, None]
+    w = np.concatenate([[top_mass], np.full(n, (1.0 - top_mass) / n)])
+    mu = EmpiricalMeasure(pts, w)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        alpha = _alpha_from_support(mu, Direction([1.0]), -5e-324)
+    assert alpha == pytest.approx(top_mass, abs=1e-15)
+
+
+def _grouped_alpha(values, weights, h):
+    """Depth of support level h by a full sort with tied values grouped.
+
+    On the segment where group k is marginal, alpha = W_{<k} + E_{<k} /
+    (h - v_k), with W_{<k} the mass and E_{<k} the excess sum W_g (v_g - h)
+    of the groups above it; group k is the first below h at which the
+    running excess stops being positive.
+    """
+    levels, inverse = np.unique(-values, return_inverse=True)
+    v = -levels
+    mass = np.bincount(inverse, weights=weights)
+    cum_w = np.cumsum(mass)
+    excess = np.cumsum(mass * (v - h))
+    ends = np.flatnonzero((v < h) & (excess <= 0.0))
+    k = int(ends[0]) if ends.size else v.size - 1
+    alpha = cum_w[k - 1] + excess[k - 1] / (h - v[k])
+    return min(max(float(alpha), float(cum_w[k - 1])), float(cum_w[k]))
+
+
+@st.composite
+def _tied_grids(draw):
+    """A weighted cloud on a coarse grid of spacing 0.3 * scale, a direction and a level."""
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    d = draw(st.integers(min_value=1, max_value=3))
+    n = draw(st.one_of(st.integers(min_value=1, max_value=40), st.integers(min_value=200, max_value=2000)))
+    levels = draw(st.integers(min_value=1, max_value=12))
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    pts = rng.integers(0, levels, size=(n, d)) * (0.3 * scale)
+    if draw(st.booleans()):
+        w = rng.integers(1, 5, size=n).astype(float)
+    else:
+        w = rng.uniform(0.5, 2.0, n)
+    axis = rng.integers(-1, 2, size=d).astype(float)
+    u = Direction.of(axis if axis.any() and draw(st.booleans()) else rng.standard_normal(d))
+    mu = EmpiricalMeasure(pts, w / w.sum())
+    proj = pts @ u.vec
+    kind = draw(st.sampled_from(["ulp", "atom", "support"]))
+    if kind == "ulp":
+        h = float(np.nextafter(proj.max(), -np.inf))
+    elif kind == "atom":  # one at or above the mean, where the level has a depth
+        upper = proj[proj >= float(mu.weights @ proj)]
+        h = float(upper[draw(st.integers(min_value=0, max_value=upper.size - 1))])
+    else:
+        h = support_trimmed(mu, TrimmedRegionQuery(draw(st.floats(min_value=1e-9, max_value=1.0)), u))
+    return mu, u, h
+
+
+@given(_tied_grids())
+@settings(max_examples=300, deadline=None)
+def test_support_inversion_matches_the_grouped_sort_on_tied_grids(instance):
+    mu, u, h = instance
+    proj = mu.points @ u.vec
+    top = float(proj.max())
+    scale = 1.0 + float(np.abs(proj).max())
+    if h >= top:
+        expected = 1e-12
+    elif h <= float(mu.weights @ proj) + 1e-13 * scale:
+        expected = 1.0
+    else:
+        expected = _grouped_alpha(proj, mu.weights, h)
+    assert _alpha_from_support(mu, u, h) == pytest.approx(expected, abs=1e-12)

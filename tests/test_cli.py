@@ -243,6 +243,19 @@ class TestCoordsCommand:
         assert code == 2
         assert err
 
+    def test_support_one_ulp_below_a_tied_top(self, capsys, tmp_path):
+        # atoms [0.6, 0.3, 0.6]: the depth is the mass of both top atoms
+        rng = np.random.default_rng(83)
+        pts = rng.integers(0, 4, size=3) * 0.3
+        w = rng.uniform(0.5, 2.0, 3)
+        w = w / w.sum()
+        p = tmp_path / "tied.csv"
+        p.write_text("x,weight\n" + "".join(f"{x!r},{m!r}\n" for x, m in zip(pts.tolist(), w.tolist())))
+        code, out, _ = run_cli(capsys, "coords", f"--measure={p}", "--from=support",
+                               "--scalar=0.5999999999999999", "--direction=1", "--to=depth")
+        assert code == 0
+        assert json.loads(out)["scalar"] == pytest.approx(0.718857683819564, abs=1e-12)
+
 
 class TestGaussianCommand:
     @pytest.mark.parametrize(

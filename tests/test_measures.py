@@ -11,6 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liftzonoid import (
+    BarycentricCoords,
+    CoordKind,
     DegenerateMeasure,
     Direction,
     DomainError,
@@ -21,9 +23,11 @@ from liftzonoid import (
     NonFinite,
     TrimmedRegionQuery,
     ZeroMass,
+    convert_coords,
     load_empirical_csv,
     load_gaussian_json,
     load_measure,
+    point_from_coords,
     support_trimmed,
     trimmed_boundary_point,
 )
@@ -174,9 +178,13 @@ class TestSelectionWorstCase:
         sizes = self._record(monkeypatch, "argsort")
         for alpha in (1e-6, 0.1, 0.5, 0.9, 1.0):
             query = TrimmedRegionQuery(alpha, u)
-            support_trimmed(mu, query)
+            h = support_trimmed(mu, query)
             trimmed_boundary_point(mu, query)
             mu.upper_quantile(u, alpha)
+            coords = BarycentricCoords(CoordKind.SUPPORT, h, u)
+            convert_coords(mu, coords, CoordKind.DEPTH)
+            convert_coords(mu, coords, CoordKind.OFFSET)
+            point_from_coords(mu, coords)
         assert max(sizes, default=0) <= _SELECT_BASE
 
     @pytest.mark.parametrize("profile", ["geometric", "bottom-heavy"])

@@ -283,3 +283,58 @@ def test_support_zonoid_positive_homogeneous_input(seed):
     u = Direction.of(rng.standard_normal(2) + 1e-3)
     assert support_zonoid(mu, u) == pytest.approx(support_zonoid(nu, u),
                                                   rel=1e-12)
+
+
+def _sorted_tail(points, weights, u, alpha):
+    """Trimmed support and boundary point by a full sort and running sums.
+
+    Tied projections are grouped; the groups above the marginal one enter
+    whole, the marginal group with the residual mass alpha - W_above.
+    """
+    v = points @ u
+    order = np.argsort(-v, kind="stable")
+    vs, ws, xs = v[order], weights[order], points[order]
+    starts = np.flatnonzero(np.r_[True, vs[1:] != vs[:-1]])
+    mass = np.add.reduceat(ws, starts)
+    group_xw = np.add.reduceat(ws[:, None] * xs, starts, axis=0)
+    cum_mass = np.cumsum(mass)
+    cum_vw = np.cumsum(vs[starts] * mass)
+    cum_xw = np.cumsum(group_xw, axis=0)
+    g = min(int(np.searchsorted(cum_mass, alpha - 1e-12)), starts.size - 1)
+    w_above = cum_mass[g - 1] if g else 0.0
+    vw_above = cum_vw[g - 1] if g else 0.0
+    xw_above = cum_xw[g - 1] if g else np.zeros(points.shape[1])
+    residual = min(max(alpha - w_above, 0.0), mass[g])
+    support = (vw_above + residual * vs[starts[g]]) / alpha
+    point = (xw_above + (residual / mass[g]) * group_xw[g]) / alpha
+    return support, point
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    d=st.integers(min_value=2, max_value=3),
+    n=st.one_of(st.integers(min_value=1, max_value=40), st.integers(min_value=200, max_value=3000)),
+    kind=st.sampled_from(["uniform", "weighted-tied"]),
+    scale=st.sampled_from([1e-3, 1.0, 1e3]),
+    log_alpha=st.floats(min_value=-4.0, max_value=0.0),
+)
+@settings(max_examples=200, deadline=None)
+def test_trimmed_tail_matches_the_sorted_running_sums(seed, d, n, kind, scale, log_alpha):
+    # contour-shaped clouds: Gaussian with uniform weights, or rounded to
+    # one decimal (tied projections) with weights in [0.5, 2]
+    rng = np.random.default_rng(seed)
+    pts = rng.standard_normal((n, d))
+    if kind == "uniform":
+        w = np.ones(n)
+    else:
+        pts = np.round(pts, 1)
+        w = rng.uniform(0.5, 2.0, n)
+    pts = pts * scale
+    mu = EmpiricalMeasure(pts, w / w.sum())
+    u = Direction.of(rng.standard_normal(d))
+    alpha = float(10.0**log_alpha)
+    query = TrimmedRegionQuery(alpha, u)
+    support, point = _sorted_tail(mu.points, mu.weights, u.vec, alpha)
+    tol = 1e-13 * (1.0 + float(np.abs(pts).max()))
+    assert abs(support_trimmed(mu, query) - support) <= tol
+    assert np.abs(trimmed_boundary_point(mu, query) - point).max() <= tol
