@@ -163,6 +163,8 @@ def _load(measure_path: str | None, gaussian_path: str | None) -> Measure:
     else:
         log.debug("measure: gaussian d=%d", mu.dim)
     log.debug("load: %.3f ms", 1e3 * (time.perf_counter() - start))
+    if measure_path is not None:
+        log.debug("input: %d bytes", os.path.getsize(measure_path))
     return mu
 
 

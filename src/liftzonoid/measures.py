@@ -422,6 +422,55 @@ class GaussianMeasure:
 Measure = EmpiricalMeasure | GaussianMeasure
 
 
+# what str.strip() removes, plus the separator and the quote: a row made
+# only of these holds no value and is skipped
+_BLANK = (
+    ',"\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680\u2000\u2001\u2002\u2003\u2004'
+    "\u2005\u2006\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000"
+)
+
+
+def _parse_rows(lines: list[str]) -> np.ndarray:
+    return np.loadtxt(lines, delimiter=",", comments=None, quotechar='"', ndmin=2)
+
+
+def _cells(path: Path, line: str) -> list[str]:
+    try:
+        return next(csv.reader([line]))
+    except csv.Error as exc:
+        raise InputFormatError(f"{path}: {exc}") from exc
+
+
+def _row_error(path: Path, rows: list[tuple[int, str]], exc: ValueError) -> InputFormatError:
+    """Name the first data row that the parser rejected, and why.
+
+    ``rows`` pairs each data row with its line number in the file. A cell
+    that ``float`` rejects is reported first, then the first row whose
+    column count differs from the first row's, then the first row the
+    parser rejects on its own (a spelling ``float`` would accept).
+    """
+    cells = [(row_no, _cells(path, line)) for row_no, line in rows]
+    for row_no, row in cells:
+        for cell in row:
+            try:
+                float(cell)
+            except ValueError as err:
+                return InputFormatError(f"{path}: row {row_no}: {err}")
+    (first_no, first), widths = cells[0], sorted({len(row) for _, row in cells})
+    for row_no, row in cells:
+        if len(row) != len(first):
+            return InputFormatError(
+                f"{path}: rows have inconsistent column counts {widths}: "
+                f"row {row_no} has {len(row)}, row {first_no} has {len(first)}"
+            )
+    for row_no, line in rows:
+        try:
+            _parse_rows([line])
+        except ValueError as err:
+            return InputFormatError(f"{path}: row {row_no}: {str(err).partition(' at row ')[0]}")
+    return InputFormatError(f"{path}: {exc}")
+
+
 def load_empirical_csv(path) -> EmpiricalMeasure:
     """Read a point cloud from CSV.
 
@@ -430,38 +479,49 @@ def load_empirical_csv(path) -> EmpiricalMeasure:
     which are renormalized to sum to 1; a deviation beyond the weight_warn
     tolerance is logged as a warning. Without a header (or without a
     weight column) atoms are uniformly weighted.
+
+    The file is UTF-8 with an optional byte-order mark, comma-separated,
+    with optional ``"`` quotes; rows of only whitespace, commas and quotes
+    are skipped. The first remaining row is a header if any of its cells
+    is not a number. Errors name rows by their line number in the file.
     """
     path = Path(path)
-    with path.open(newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row and any(cell.strip() for cell in row)]
+    try:
+        text = path.read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise InputFormatError(f"{path}: not UTF-8 text: {exc}") from exc
+    lines = text.split("\n")
+    rows = [line for line in lines if line.strip(_BLANK)]
     if not rows:
         raise InputFormatError(f"{path}: no data rows")
 
-    def _parse(row, row_no):
-        try:
-            return [float(cell) for cell in row]
-        except ValueError as exc:
-            raise InputFormatError(f"{path}: row {row_no}: {exc}") from exc
-
     header: list[str] | None = None
+    first = _cells(path, rows[0])
     try:
-        [float(cell) for cell in rows[0]]
+        [float(cell) for cell in first]
     except ValueError:
-        header = [cell.strip().lower() for cell in rows[0]]
+        header = [cell.strip().lower() for cell in first]
         rows = rows[1:]
         if not rows:
             raise InputFormatError(f"{path}: header but no data rows")
-    parsed = [_parse(row, i + (2 if header else 1)) for i, row in enumerate(rows)]
-    widths = {len(row) for row in parsed}
-    if len(widths) != 1:
-        raise InputFormatError(f"{path}: rows have inconsistent column counts {sorted(widths)}")
-    data = np.array(parsed)
+
+    def numbered():  # the data rows with their line numbers, for error messages
+        found = [(no, line) for no, line in enumerate(lines, 1) if line.strip(_BLANK)]
+        return found[1:] if header else found
+
+    try:
+        data = _parse_rows(rows)
+    except ValueError as exc:
+        raise _row_error(path, numbered(), exc) from exc
     if header and header[-1] == "weight":
         if data.shape[1] < 2:
             raise InputFormatError(f"{path}: weight column present but no coordinate columns")
         pts, w = data[:, :-1], data[:, -1]
         if np.any(w <= 0.0):
             raise InputFormatError(f"{path}: weights must be strictly positive")
+        if not np.all(np.isfinite(w)):
+            k = int(np.argmin(np.isfinite(w)))
+            raise InputFormatError(f"{path}: row {numbered()[k][0]}: weight {float(w[k])!r} is not finite")
         total = float(w.sum())
         if abs(total - 1.0) > DEFAULT_TOLS.weight_warn:
             log.warning("%s: weights sum to %.17g, renormalizing", path, total)

@@ -435,6 +435,27 @@ def test_debug_log_reports_stages(square_csv):
         assert re.search(pattern, err, re.MULTILINE), (pattern, err)
 
 
+def test_debug_log_reports_input_bytes_after_load(square_csv, std2_json):
+    err = _cli_process("debug", "support", "--measure", square_csv, "--alpha", "0.5",
+                       "--direction", "1,0").stderr.decode()
+    lines = err.splitlines()
+    load = next(i for i, line in enumerate(lines) if re.search(r"load: \d+\.\d{3} ms$", line))
+    assert lines[load + 1].endswith(f"input: {len(SQUARE_CSV)} bytes"), err
+    gauss = _cli_process("debug", "support", "--gaussian", std2_json, "--alpha", "0.5",
+                         "--direction", "1,0")
+    assert gauss.returncode == 0 and b"input:" not in gauss.stderr
+
+
+def test_csv_not_utf8_exits_1_without_traceback(tmp_path):
+    bad = tmp_path / "latin.csv"
+    bad.write_bytes(b"\xff\xfe0,0\n1,0\n")
+    proc = _cli_process(None, "depth", "--measure", str(bad), "--point", "0,0")
+    err = proc.stderr.decode()
+    assert proc.returncode == 1
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and "latin.csv" in err and len(err.splitlines()) == 1
+
+
 def test_closed_stdout_exits_141_without_traceback():
     proc = subprocess.Popen(
         [sys.executable, "-m", "liftzonoid.cli", "verify", "--suite", "theorem1"],
