@@ -107,14 +107,9 @@ class DepthCertificate:
 
 def check_affine_span(mu: EmpiricalMeasure) -> None:
     """Raise DegenerateMeasure unless the atoms affinely span the space."""
-    # compared exactly: the mean of coincident atoms may round away from them
-    if np.all(mu.points == mu.points[0]):
+    rank = mu.affine_rank  # computed once per measure
+    if rank == 0:
         raise DegenerateMeasure("all atoms coincide; no affine span")
-    centered = mu.points - mu.mean()  # (n, d)
-    top = float(np.linalg.norm(centered, axis=1).max())
-    # the small triangular factor has the singular values of the whole matrix
-    sv = np.linalg.svd(np.linalg.qr(centered, mode="r"), compute_uv=False)
-    rank = int(np.sum(sv > DEFAULT_TOLS.rank * top))
     if rank < mu.dim:
         raise DegenerateMeasure(
             f"atoms affinely span a {rank}-dimensional subspace of R^{mu.dim}"

@@ -23,6 +23,7 @@ from liftzonoid import (
     TrimmedRegionQuery,
     depth_bruteforce_oracle,
     depth_dual_direction,
+    represent,
     support_trimmed,
     trimmed_boundary_point,
     zonoid_depth,
@@ -227,6 +228,33 @@ class TestErrors:
         assert mu.mean()[0] != 2.0
         with pytest.raises(DegenerateMeasure):
             zonoid_depth(mu, [2.0])
+
+    def test_flat_measure_raises_on_every_call(self):
+        mu = EmpiricalMeasure.uniform(np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]))
+        for x in ([1.0, 1.0], [0.5, 0.5], [1.0, 1.0]):
+            with pytest.raises(DegenerateMeasure, match="1-dimensional"):
+                zonoid_depth(mu, x)
+        coincident = EmpiricalMeasure.uniform(np.full((3, 2), 1.5))
+        for _ in range(2):
+            with pytest.raises(DegenerateMeasure, match="coincide"):
+                zonoid_depth(coincident, [1.5, 1.5])
+
+    def test_span_rank_computed_once_per_measure(self, monkeypatch, cloud):
+        mu = cloud(3, n=40, d=2)
+        calls = []
+        original = np.linalg.qr
+
+        def counting_qr(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", counting_qr)
+        first = zonoid_depth(mu, mu.points[0] * 0.5)
+        second = zonoid_depth(mu, mu.points[1] * 0.5)
+        represent(mu, mu.points[2] * 0.5)
+        assert len(calls) == 1
+        assert mu.affine_rank == 2
+        assert first.depth > 0.0 and second.depth > 0.0
 
     def test_nonfinite_point(self, square):
         with pytest.raises(NonFinite):

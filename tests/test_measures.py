@@ -153,6 +153,53 @@ def test_selection_matches_sorted_split(seed, n, levels, weights, alpha_kind, fr
     assert abs(residual - ref_residual) <= 1e-15
 
 
+def _outside_sample(n, rng):
+    """An index that the first round's strided sample of n candidates skips."""
+    sampled = set((np.arange(_SELECT_BASE) * n // _SELECT_BASE).tolist())
+    return int(rng.choice([i for i in range(n) if i not in sampled]))
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.one_of(st.integers(_SELECT_BASE + 1, 600), st.integers(601, 5000)),
+    family=st.sampled_from(["deficit", "rounded-deficit", "outlier", "big-tie"]),
+    order=st.sampled_from(["random", "ascending", "descending"]),
+    fraction=st.floats(0.0, 1.0),
+)
+@settings(max_examples=300, deadline=None)
+def test_sampled_pivots_match_sorted_split(seed, n, family, order, fraction):
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(n)
+    if family == "rounded-deficit":
+        v = np.round(v, 1)
+    elif family == "big-tie":  # a tie group larger than the base case
+        v = np.concatenate([v, np.zeros(int(rng.integers(_SELECT_BASE + 1, 2 * _SELECT_BASE)))])
+    v = {"random": rng.permutation(v), "ascending": np.sort(v), "descending": -np.sort(-v)}[order]
+    if family.endswith("deficit"):
+        # the inversion's input: values below a level h, weights w (h - v) / P,
+        # whose total D / P exceeds the level 1 the inversion asks for
+        h = float(v.max()) + rng.exponential()
+        w = (h - v) / n
+        w /= w.sum() * (0.02 + 0.97 * fraction)
+        alpha = 1.0
+    elif family == "outlier":
+        # equal weights except one heavy atom that the strided sample skips
+        w = np.ones(n)
+        w[_outside_sample(n, rng)] = 1000.0
+        w /= w.sum()
+        alpha = max(fraction, 1e-12)
+    else:  # the crossing inside the tie group
+        w = rng.uniform(0.5, 2.0, v.size)
+        w /= w.sum()
+        alpha = float(w[v > 0.0].sum() + fraction * w[v == 0.0].sum())
+    thr, full, tie, residual = upper_mass_split(v, w, alpha)
+    ref_thr, ref_full, ref_tie, ref_residual = _sorted_split(v, w, alpha)
+    assert thr == ref_thr
+    np.testing.assert_array_equal(full, ref_full)
+    np.testing.assert_array_equal(tie, ref_tie)
+    assert abs(residual - ref_residual) <= 1e-15
+
+
 class TestSelectionWorstCase:
     """Deterministic guards on the selection's work, by counting calls."""
 
@@ -187,6 +234,9 @@ class TestSelectionWorstCase:
             point_from_coords(mu, coords)
         assert max(sizes, default=0) <= _SELECT_BASE
 
+    # every round calls np.flatnonzero once or twice, whether its pivot came
+    # from np.partition or from the sorted sample, so the calls bound the rounds
+
     @pytest.mark.parametrize("profile", ["geometric", "bottom-heavy"])
     @pytest.mark.parametrize("alpha", [1e-6, 0.1, 0.9])
     def test_partition_rounds_logarithmic(self, monkeypatch, profile, alpha):
@@ -198,11 +248,32 @@ class TestSelectionWorstCase:
         else:  # 99% of the mass on the lowest 1% of the atoms
             w = np.where(rank >= n - n // 100, 99.0 / (n // 100), 1.0 / (n - n // 100))
         w = w / w.sum()
-        rounds = self._record(monkeypatch, "partition")
+        rounds = self._record(monkeypatch, "flatnonzero")
         result = upper_mass_split(v, w, alpha)
         monkeypatch.undo()
         assert len(rounds) <= 2 * math.ceil(math.log2(n)) + 2
         assert result[0] == _sorted_split(v, w, alpha)[0]
+
+    @pytest.mark.parametrize("order", ["cloud", "ascending"])
+    @pytest.mark.parametrize("alpha", [0.03, 0.5, 0.97])
+    def test_inversion_deficit_weights_take_few_rounds(self, monkeypatch, alpha, order):
+        # the support-to-depth inversion's input: the atoms below a trimmed
+        # support h, weighted by w_i (h - v_i) / E(V - h)_+, at level 1; sorted
+        # input needs a sample that spans all candidates, not their first 256
+        mu = EmpiricalMeasure.uniform(np.random.default_rng([7, 3]).standard_normal((100_000, 2)))
+        u = Direction.of([math.cos(1.9), math.sin(1.9)])
+        v = mu.points @ u.vec
+        gap = v - support_trimmed(mu, TrimmedRegionQuery(alpha, u))
+        excess = float(mu.weights @ np.maximum(gap, 0.0))
+        below = np.flatnonzero(gap < 0.0)
+        if order == "ascending":
+            below = below[np.argsort(v[below], kind="stable")]
+        values, weights = v[below], mu.weights[below] * (gap[below] / -excess)
+        rounds = self._record(monkeypatch, "flatnonzero")
+        result = upper_mass_split(values, weights, 1.0)
+        monkeypatch.undo()
+        assert len(rounds) <= 4
+        assert result[0] == _sorted_split(values, weights, 1.0)[0]
 
 
 class TestEmpiricalMeasure:
