@@ -27,7 +27,6 @@ from .errors import (
     DomainError,
     MeanPoint,
     NoDual,
-    NoSolution,
     NotConverged,
     OutsideSupport,
     ZeroMass,
@@ -39,9 +38,8 @@ from .measures import (
     GaussianMeasure,
     HalfSpace,
     as_vector,
-    upper_mass_split,
 )
-from .normal import g_inverse, normal_cdf, normal_sf
+from .normal import normal_cdf, normal_sf
 from .zonoid import TrimmedRegionQuery, support_trimmed, trimmed_boundary_point
 
 _FRACTION_TOL = 1e-9
@@ -200,73 +198,13 @@ def coords_from_point(mu, point, kind) -> BarycentricCoords:
     return BarycentricCoords(kind=kind, scalar=scalar, direction=u)
 
 
-def _alpha_from_support(mu, u: Direction, h: float) -> float:
-    """Invert the strictly decreasing alpha -> h(D_alpha, u) map exactly.
-
-    Gaussian measures use alpha = Phi(G^-1((h - s)/sigma)). For empirical
-    measures the trimmed support is a tail mean, alpha h = min_t
-    [E(V - t)_+ + alpha t] with V = <X, u>, so the depth of a level is
-    alpha = min_{t<h} E(V - t)_+ / (h - t), attained at the marginal atom
-    value v_k: the largest atom value below h at which the running
-    deficit sum_{h > v_i >= v_k} w_i (h - v_i) reaches the excess
-    P = E(V - h)_+. That is a weighted selection (``upper_mass_split``
-    over the atoms below h, weights w_i (h - v_i)/P, level 1), O(n)
-    expected, not a sort. Then alpha = W_> + sum_{v_i > v_k} w_i (v_i - h)
-    / (h - v_k), clipped to [W_>, W_>=], the masses above and at v_k. A
-    level at the farthest projection returns 1e-12, one at the mean
-    returns 1.0; a level more than 1e-9 (relative) outside that range
-    raises NoSolution.
-    """
-    if isinstance(mu, GaussianMeasure):
-        s, sigma = mu._projection_params(u)
-        if sigma == 0.0:
-            raise NoSolution("direction carries no variance")
-        rho = (h - s) / sigma
-        if rho < 0.0:
-            raise NoSolution("support level lies below the mean projection")
-        if rho == 0.0:
-            return 1.0
-        alpha = normal_cdf(g_inverse(rho))
-        if alpha <= 0.0:
-            raise NoSolution("support level exceeds every representable trimmed region")
-        return alpha
-    proj = mu.points @ u.vec
-    w = mu.weights
-    top, low = float(proj.max()), float(proj.min())
-    mean = float(w @ proj)
-    scale = 1.0 + max(top, -low)
-    if h - top > 1e-9 * scale:
-        raise NoSolution("support level exceeds the farthest atom projection")
-    if mean - h > 1e-9 * scale:
-        raise NoSolution("support level lies below the mean projection")
-    if h >= top:
-        return 1e-12
-    if h <= mean + 1e-13 * scale:  # the mean, up to the rounding of its sum
-        return 1.0
-    gap = proj - h
-    excess = float(w @ np.maximum(gap, 0.0))
-    if excess <= np.finfo(float).tiny * (h - low):
-        # P underflowed (h a few ulps below a top near 0), or dividing by it
-        # would overflow: alpha is the mass at or above h, up to P / (h - v_k)
-        return float(w @ (gap >= 0.0))
-    below = np.flatnonzero(gap < 0.0)
-    # normalised by P, the kernel's absolute 1e-12 slack is relative: a
-    # neighbouring segment moves alpha by at most 1e-12, as P/(h - v_k) <= alpha
-    vk, _, _, _ = upper_mass_split(proj[below], w[below] * (gap[below] / -excess), 1.0)
-    w_gt = w * (proj > vk)
-    mass_gt = float(w_gt.sum())
-    mass_ge = mass_gt + float(w[proj == vk].sum())
-    alpha = mass_gt + float(w_gt @ gap) / (h - vk)
-    return min(max(alpha, mass_gt), mass_ge, 1.0)
-
-
 def point_from_coords(mu, coords: BarycentricCoords) -> np.ndarray:
     """Invert a coordinate pair back to the point it identifies."""
     u = coords.direction
     if coords.kind is CoordKind.OFFSET:
         return mu.halfspace_barycenter(HalfSpace(u, coords.scalar))
     if coords.kind is CoordKind.SUPPORT:
-        alpha = _alpha_from_support(mu, u, coords.scalar)
+        alpha = mu.project(u.vec).tail_mean_level(coords.scalar)
     else:
         alpha = coords.scalar
     if alpha >= 1.0:
@@ -289,7 +227,7 @@ def convert_coords(mu, coords: BarycentricCoords, kind) -> BarycentricCoords:
         if alpha <= 0.0:
             raise ZeroMass("offset half-space carries no mass")
     elif coords.kind is CoordKind.SUPPORT:
-        alpha = _alpha_from_support(mu, u, coords.scalar)
+        alpha = mu.project(u.vec).tail_mean_level(coords.scalar)
     else:
         alpha = coords.scalar
     if kind is CoordKind.DEPTH:
@@ -299,12 +237,6 @@ def convert_coords(mu, coords: BarycentricCoords, kind) -> BarycentricCoords:
     else:
         scalar = mu.upper_quantile(u, alpha)
     return BarycentricCoords(kind=kind, scalar=scalar, direction=u)
-
-
-def _halfspace_membership(points: np.ndarray, hs: HalfSpace) -> np.ndarray:
-    if hs.is_whole_space:
-        return np.ones(points.shape[0], dtype=bool)
-    return points @ hs.direction.vec >= hs.offset
 
 
 def _upper_orthant(c1: float, c2: float, rho: float) -> float:
@@ -337,8 +269,9 @@ def verify_uniqueness(mu, first: HalfSpace, second: HalfSpace) -> float:
     standardized offsets, with the orthant probability from Owen's T.
     """
     if isinstance(mu, EmpiricalMeasure):
-        in_first = _halfspace_membership(mu.points, first)
-        in_second = _halfspace_membership(mu.points, second)
+        # the whole space's offset -inf is below every value
+        in_first = mu.project(first.direction.vec).values >= first.offset
+        in_second = mu.project(second.direction.vec).values >= second.offset
         return float(mu.weights[in_first != in_second].sum())
     if not isinstance(mu, GaussianMeasure):
         raise TypeError(f"unsupported measure type {type(mu).__name__}")
@@ -347,12 +280,12 @@ def verify_uniqueness(mu, first: HalfSpace, second: HalfSpace) -> float:
             return 0.0
         other = second if first.is_whole_space else first
         return 1.0 - mu.halfspace_mass(other)
-    s1, sig1 = mu._projection_params(first.direction)
-    s2, sig2 = mu._projection_params(second.direction)
-    c1 = (first.offset - s1) / sig1
-    c2 = (second.offset - s2) / sig2
+    p1 = mu.project(first.direction.vec)
+    p2 = mu.project(second.direction.vec)
+    c1 = (first.offset - p1.mean) / p1.std
+    c2 = (second.offset - p2.mean) / p2.std
     cov = mu.covariance
-    corr = float(first.direction.vec @ cov @ second.direction.vec) / (sig1 * sig2)
+    corr = float(first.direction.vec @ cov @ second.direction.vec) / (p1.std * p2.std)
     if corr >= 1.0 - 1e-12:
         return abs(normal_cdf(c1) - normal_cdf(c2))
     if corr <= -1.0 + 1e-12:

@@ -137,8 +137,11 @@ def zonoid_depth(mu: EmpiricalMeasure, point) -> DepthCertificate:
         )
     n = mu.size
     A = (mu.points - x).T  # (d, n)
-    res = solve_bounded_lp(A, np.zeros(mu.dim), np.ones(n), np.zeros(n), mu.weights)
-    if res.status != "optimal":  # b = 0 is feasible: only rounding gets here
+    try:
+        res = solve_bounded_lp(A, np.zeros(mu.dim), np.ones(n), np.zeros(n), mu.weights)
+    except np.linalg.LinAlgError:  # a basis singular to working precision
+        res = None
+    if res is None or res.status != "optimal":  # b = 0 is feasible: only rounding gets here
         raise NotConverged(
             "depth LP lost feasibility to rounding; the atoms lie numerically "
             "close to a hyperplane"

@@ -1,10 +1,15 @@
 """Measure models: weighted point clouds and nondegenerate Gaussians.
 
-Downstream geometry (support functions, trimmed regions, depth, half-space
-representation) talks to measures only through the operations defined here:
-one-dimensional projections, upper quantiles, half-space masses and
-barycenters, and affine images. Both measure classes implement the same
-method surface, so callers can stay agnostic where the math allows it.
+Almost everything downstream is a function of the law of V = <X, v>.
+``mu.project(v)`` returns it for any spatial vector v (lift directions
+have non-unit spatial parts) with five operations: the lift-zonoid
+support ``positive_part_mean(t)`` = E(t + V)_+ (the zonoid's at t = 0),
+the trimmed support ``tail_mean(alpha)``, the mean of the upper-alpha
+mass, its offset ``upper_quantile(alpha)``, the half-space mass
+``mass_above(a)`` = P(V >= a), and ``tail_mean_level(h)``, the alpha
+whose tail mean is h. Only barycenters need the whole measure. Both
+measure classes implement the same method surface, so callers can stay
+agnostic where the math allows it.
 
 File formats: point clouds are CSV (one atom per row, optional final
 ``weight`` column when a header is present), Gaussians are JSON with
@@ -31,9 +36,10 @@ from .errors import (
     DomainError,
     InputFormatError,
     NonFinite,
+    NoSolution,
     ZeroMass,
 )
-from .normal import g_ratio, normal_cdf, normal_pdf, normal_quantile, normal_sf
+from .normal import g_inverse, g_ratio, isoperimetric, normal_cdf, normal_pdf, normal_quantile, normal_sf
 
 log = logging.getLogger("liftzonoid")
 
@@ -45,7 +51,9 @@ def as_vector(x, *, dim: int | None = None, name: str = "vector") -> np.ndarray:
         v = v.reshape(1)
     if v.ndim != 1 or v.size == 0:
         raise DimensionMismatch(f"{name}: expected a nonempty 1-D vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if dim is not None and v.size != dim:
+        raise DimensionMismatch(f"{name}: expected {dim} entries, got {v.size}")
+    if not np.isfinite(v).all():
         raise NonFinite(f"{name}: contains non-finite entries")
     return v
 
@@ -135,24 +143,126 @@ class HalfSpace:
 
 @dataclass(frozen=True, eq=False)
 class EmpiricalProjection:
-    """One-dimensional image of an empirical measure along a direction.
+    """Law of V = <X, v> under an empirical measure.
 
-    Values are sorted ascending; the stable sort preserves atom order on
-    ties. Weights are aligned with the sorted values.
+    ``values`` holds <x_i, v> in atom order, unsorted, and ``weights`` the
+    atom weights. Every operation is O(n).
     """
 
-    direction: Direction
     values: np.ndarray
     weights: np.ndarray
+
+    def positive_part_mean(self, t: float) -> float:
+        """E(t + V)_+."""
+        return float(self.weights @ np.maximum(t + self.values, 0.0))
+
+    def tail_mean(self, alpha: float) -> float:
+        """Mean of the upper-alpha mass of V, splitting the marginal atoms."""
+        alpha = _check_alpha(alpha)
+        threshold, full, _, residual = upper_mass_split(self.values, self.weights, alpha)
+        return (float((self.weights * full) @ self.values) + residual * threshold) / alpha
+
+    def upper_quantile(self, alpha: float) -> float:
+        """Atom value at which the closed upper mass of V first reaches alpha."""
+        threshold, _, _, _ = upper_mass_split(self.values, self.weights, _check_alpha(alpha))
+        return threshold
+
+    def mass_above(self, a: float) -> float:
+        """P(V >= a)."""
+        return float(self.weights[self.values >= a].sum())
+
+    def tail_mean_level(self, h: float) -> float:
+        """Invert the strictly decreasing alpha -> tail_mean(alpha) map exactly.
+
+        The trimmed support is a tail mean, alpha h = min_t [E(V - t)_+ +
+        alpha t], so the depth of a level is alpha = min_{t<h} E(V - t)_+ /
+        (h - t), attained at the marginal atom value v_k: the largest atom
+        value below h at which the running deficit sum_{h > v_i >= v_k}
+        w_i (h - v_i) reaches the excess P = E(V - h)_+. That is a weighted
+        selection (``upper_mass_split`` over the atoms below h, weights
+        w_i (h - v_i)/P, level 1), O(n) expected, not a sort. Then alpha =
+        W_> + sum_{v_i > v_k} w_i (v_i - h) / (h - v_k), clipped to [W_>,
+        W_>=], the masses above and at v_k. A level at the farthest
+        projection returns 1e-12, one at the mean returns 1.0; a level more
+        than 1e-9 (relative) outside that range raises NoSolution.
+        """
+        proj, w = self.values, self.weights
+        top, low = float(proj.max()), float(proj.min())
+        mean = float(w @ proj)
+        scale = 1.0 + max(top, -low)
+        if h - top > 1e-9 * scale:
+            raise NoSolution("support level exceeds the farthest atom projection")
+        if mean - h > 1e-9 * scale:
+            raise NoSolution("support level lies below the mean projection")
+        if h >= top:
+            return 1e-12
+        if h <= mean + 1e-13 * scale:  # the mean, up to the rounding of its sum
+            return 1.0
+        gap = proj - h
+        excess = float(w @ np.maximum(gap, 0.0))
+        if excess <= np.finfo(float).tiny * (h - low):
+            # P underflowed (h a few ulps below a top near 0), or dividing by it
+            # would overflow: alpha is the mass at or above h, up to P / (h - v_k)
+            return float(w @ (gap >= 0.0))
+        below = np.flatnonzero(gap < 0.0)
+        # normalised by P, the kernel's absolute 1e-12 slack is relative: a
+        # neighbouring segment moves alpha by at most 1e-12, as P/(h - v_k) <= alpha
+        vk, _, _, _ = upper_mass_split(proj[below], w[below] * (gap[below] / -excess), 1.0)
+        w_gt = w * (proj > vk)
+        mass_gt = float(w_gt.sum())
+        mass_ge = mass_gt + float(w[proj == vk].sum())
+        alpha = mass_gt + float(w_gt @ gap) / (h - vk)
+        return min(max(alpha, mass_gt), mass_ge, 1.0)
 
 
 @dataclass(frozen=True)
 class GaussianProjection:
-    """One-dimensional image of a Gaussian measure: a normal law N(mean, std^2)."""
+    """Law of V = <X, v> under a Gaussian measure: N(mean, std^2); std = 0 for v = 0."""
 
-    direction: Direction
     mean: float
     std: float
+
+    def positive_part_mean(self, t: float) -> float:
+        """E(t + V)_+ = std pdf(c) + s cdf(c), with s = t + mean and c = s / std."""
+        s = t + self.mean
+        if self.std == 0.0:
+            return max(s, 0.0)
+        c = s / self.std
+        return self.std * normal_pdf(c) + s * normal_cdf(c)
+
+    def tail_mean(self, alpha: float) -> float:
+        """mean + std isoperimetric(alpha) / alpha; the mean at alpha = 1."""
+        alpha = _check_alpha(alpha)
+        if alpha == 1.0:
+            return self.mean
+        return self.mean + self.std * isoperimetric(alpha) / alpha
+
+    def upper_quantile(self, alpha: float) -> float:
+        """The a with P(V >= a) = alpha; -inf when alpha = 1."""
+        alpha = _check_alpha(alpha)
+        if alpha == 1.0:
+            return -math.inf
+        return self.mean + self.std * normal_quantile(1.0 - alpha)
+
+    def mass_above(self, a: float) -> float:
+        """P(V >= a)."""
+        if self.std == 0.0:
+            return float(self.mean >= a)
+        return normal_sf((a - self.mean) / self.std)
+
+    def tail_mean_level(self, h: float) -> float:
+        """Invert the strictly decreasing alpha -> tail_mean(alpha) map: Phi(G^-1((h - mean)/std))."""
+        if self.std == 0.0:
+            raise NoSolution("direction carries no variance")
+        rho = (h - self.mean) / self.std
+        if rho < 0.0:
+            raise NoSolution("support level lies below the mean projection")
+        if rho == 0.0:
+            return 1.0
+        alpha = normal_cdf(g_inverse(rho))
+        if alpha <= 0.0:
+            raise NoSolution("support level exceeds every representable trimmed region")
+        return alpha
 
 
 # candidate sets this small are finished by a stable sort and a cumsum;
@@ -318,32 +428,26 @@ class EmpiricalMeasure:
         sv = np.linalg.svd(np.linalg.qr(centered, mode="r"), compute_uv=False)
         return int(np.sum(sv > DEFAULT_TOLS.rank * top))
 
-    def project(self, direction: Direction) -> EmpiricalProjection:
-        """Law of <X, u>: sorted values with aligned weights."""
-        v = self.points @ direction.vec
-        order = np.argsort(v, kind="stable")
-        return EmpiricalProjection(direction, _freeze(v[order]), _freeze(self.weights[order]))
+    def project(self, vec) -> EmpiricalProjection:
+        """Law of <X, vec> for any spatial vector: values in atom order."""
+        v = as_vector(vec, dim=self.dim, name="direction")
+        return EmpiricalProjection(self.points @ v, self.weights)
 
     def upper_quantile(self, direction: Direction, alpha: float) -> float:
         """Atom value at which the closed upper mass of <X,u> first reaches alpha."""
-        alpha = _check_alpha(alpha)
-        v = self.points @ direction.vec
-        threshold, _, _, _ = upper_mass_split(v, self.weights, alpha)
-        return threshold
+        return self.project(direction.vec).upper_quantile(alpha)
 
     def halfspace_mass(self, halfspace: HalfSpace) -> float:
         """Total weight of atoms inside the closed half-space."""
         if halfspace.is_whole_space:
             return 1.0
-        v = self.points @ halfspace.direction.vec
-        return float(self.weights[v >= halfspace.offset].sum())
+        return self.project(halfspace.direction.vec).mass_above(halfspace.offset)
 
     def halfspace_barycenter(self, halfspace: HalfSpace) -> np.ndarray:
         """Barycenter of the measure restricted to the half-space."""
         if halfspace.is_whole_space:
             return np.array(self.mean())
-        v = self.points @ halfspace.direction.vec
-        inside = v >= halfspace.offset
+        inside = self.project(halfspace.direction.vec).values >= halfspace.offset
         mass = float(self.weights[inside].sum())
         if mass <= 0.0:
             raise ZeroMass(f"half-space at offset {halfspace.offset!r} carries no mass")
@@ -418,44 +522,30 @@ class GaussianMeasure:
         z = as_vector(z, dim=self.dim, name="point")
         return self.location + self.factor @ z
 
-    def _projection_params(self, direction: Direction) -> tuple[float, float]:
-        if direction.dim != self.dim:
-            raise DimensionMismatch(f"direction dim {direction.dim} != measure dim {self.dim}")
-        s = float(self.location @ direction.vec)
-        sigma = float(np.linalg.norm(self.factor.T @ direction.vec))
-        return s, sigma
-
-    def project(self, direction: Direction) -> GaussianProjection:
-        s, sigma = self._projection_params(direction)
-        return GaussianProjection(direction, s, sigma)
+    def project(self, vec) -> GaussianProjection:
+        """Law of <X, vec> for any spatial vector: N(<mean, vec>, |factor^T vec|^2)."""
+        v = as_vector(vec, dim=self.dim, name="direction")
+        return GaussianProjection(float(self.location @ v), float(np.linalg.norm(self.factor.T @ v)))
 
     def upper_quantile(self, direction: Direction, alpha: float) -> float:
         """The a with P(<X,u> >= a) = alpha; -inf when alpha = 1."""
-        alpha = _check_alpha(alpha)
-        s, sigma = self._projection_params(direction)
-        if alpha == 1.0:
-            return -math.inf
-        return s + sigma * normal_quantile(1.0 - alpha)
+        return self.project(direction.vec).upper_quantile(alpha)
 
     def halfspace_mass(self, halfspace: HalfSpace) -> float:
-        if halfspace.is_whole_space:
-            return 1.0
-        s, sigma = self._projection_params(halfspace.direction)
-        return normal_sf((halfspace.offset - s) / sigma)
+        return self.project(halfspace.direction.vec).mass_above(halfspace.offset)
 
     def halfspace_barycenter(self, halfspace: HalfSpace) -> np.ndarray:
         """Conditional mean given the half-space, via the Mills-ratio closed form."""
         if halfspace.is_whole_space:
             return self.mean()
         u = halfspace.direction.vec
-        s = float(self.location @ u)
-        v = self.factor.T @ u
-        sigma = float(np.linalg.norm(v))
-        c = (halfspace.offset - s) / sigma
+        law = self.project(u)
+        c = (halfspace.offset - law.mean) / law.std
         if normal_sf(c) <= 0.0:
             raise ZeroMass(f"half-space at standardized offset {c!r} carries no mass")
-        # E[Z | <Z, v/sigma> >= c] = (v/sigma) * pdf(c)/sf(c), pushed through the factor
-        return self.location + (self.factor @ v) * (g_ratio(-c) / sigma)
+        # with v = factor^T u and sigma = |v| = std: E[Z | <Z, v/sigma> >= c] =
+        # (v/sigma) * pdf(c)/sf(c), pushed through the factor
+        return self.location + (self.factor @ (self.factor.T @ u)) * (g_ratio(-c) / law.std)
 
     def affine_image(self, matrix, shift=None) -> "GaussianMeasure":
         m = np.asarray(matrix, dtype=float)

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import DEFAULT_TOLS
 from .errors import DimensionMismatch, DomainError, NonFinite, WrongDimension
 from .measures import (
     Direction,
@@ -29,7 +30,6 @@ from .measures import (
     _check_alpha,
     _freeze,
 )
-from .normal import isoperimetric, normal_cdf, normal_pdf
 from .sampling import direction_grid
 
 
@@ -46,8 +46,8 @@ class LiftDirection:
         if math.isnan(t):
             raise NonFinite("lift direction has NaN mass component")
         n = math.hypot(t, float(np.linalg.norm(u)))
-        if abs(n - 1.0) > 1e-12:
-            raise DomainError(f"lift direction norm {n!r} is not 1")
+        if abs(n - 1.0) > DEFAULT_TOLS.unit_norm:
+            raise DomainError(f"lift direction norm {n!r} is not 1 within {DEFAULT_TOLS.unit_norm}")
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "spatial", _freeze(u))
 
@@ -92,35 +92,14 @@ class Polygon2D:
         return float(np.max(self.vertices @ u))
 
 
-def _positive_part_mean(mu, offset: float, u: np.ndarray) -> float:
-    """E (offset + <X, u>)_+ for an arbitrary spatial vector u (not unit)."""
-    if isinstance(mu, EmpiricalMeasure):
-        v = offset + mu.points @ u
-        return float(mu.weights @ np.maximum(v, 0.0))
-    if isinstance(mu, GaussianMeasure):
-        s = offset + float(mu.location @ u)
-        sigma = float(np.linalg.norm(mu.factor.T @ u))
-        if sigma == 0.0:
-            return max(s, 0.0)
-        c = s / sigma
-        return sigma * normal_pdf(c) + s * normal_cdf(c)
-    raise TypeError(f"unsupported measure type {type(mu).__name__}")
-
-
 def support_zonoid(mu, direction: Direction) -> float:
     """Support function of the zonoid: E <X, u>_+."""
-    return _positive_part_mean(mu, 0.0, direction.vec)
+    return mu.project(direction.vec).positive_part_mean(0.0)
 
 
 def support_lift_zonoid(mu, lift: LiftDirection) -> float:
     """Support function of the lift zonoid along the normalized (t, u)."""
-    return _positive_part_mean(mu, lift.t, lift.spatial)
-
-
-def _trimmed_support_empirical(pts, w, u, alpha):
-    v = pts @ u
-    threshold, full, _, residual = upper_mass_split(v, w, alpha)
-    return (float((w * full) @ v) + residual * threshold) / alpha
+    return mu.project(lift.spatial).positive_part_mean(lift.t)
 
 
 def support_trimmed(mu, query: TrimmedRegionQuery) -> float:
@@ -130,15 +109,7 @@ def support_trimmed(mu, query: TrimmedRegionQuery) -> float:
     upper-alpha mass; decreasing in alpha, with value <mean, u> at
     alpha = 1.
     """
-    alpha, u = query.alpha, query.direction
-    if isinstance(mu, EmpiricalMeasure):
-        return _trimmed_support_empirical(mu.points, mu.weights, u.vec, alpha)
-    if isinstance(mu, GaussianMeasure):
-        s, sigma = mu._projection_params(u)
-        if alpha == 1.0:
-            return s
-        return s + sigma * isoperimetric(alpha) / alpha
-    raise TypeError(f"unsupported measure type {type(mu).__name__}")
+    return mu.project(query.direction.vec).tail_mean(query.alpha)
 
 
 def trimmed_boundary_point(mu, query: TrimmedRegionQuery) -> np.ndarray:
@@ -151,18 +122,14 @@ def trimmed_boundary_point(mu, query: TrimmedRegionQuery) -> np.ndarray:
     """
     alpha, u = query.alpha, query.direction
     if isinstance(mu, EmpiricalMeasure):
-        v = mu.points @ u.vec
-        _, full, tie, residual = upper_mass_split(v, mu.weights, alpha)
+        _, full, tie, residual = upper_mass_split(mu.project(u.vec).values, mu.weights, alpha)
         acc = (mu.weights * full) @ mu.points
         mass_tie = float(mu.weights[tie].sum())
         if mass_tie > 0.0 and residual > 0.0:
             acc = acc + (residual / mass_tie) * (mu.weights[tie] @ mu.points[tie])
         return acc / alpha
     if isinstance(mu, GaussianMeasure):
-        offset = mu.upper_quantile(u, alpha)
-        if offset == -math.inf:
-            return mu.mean()
-        return mu.halfspace_barycenter(HalfSpace(u, offset))
+        return mu.halfspace_barycenter(HalfSpace(u, mu.upper_quantile(u, alpha)))
     raise TypeError(f"unsupported measure type {type(mu).__name__}")
 
 

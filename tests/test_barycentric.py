@@ -32,7 +32,6 @@ from liftzonoid import (
     support_trimmed,
     verify_uniqueness,
 )
-from liftzonoid.barycentric import _alpha_from_support
 
 G_INV_HALF = 0.5179127159921794137   # G(u) = 1/2 at this u
 TAIL_MEAN_13 = 1.770327832359651066  # E[Z | Z >= 1.3]
@@ -326,14 +325,14 @@ def test_exact_support_inversion_on_tied_weighted_clouds(instance, alpha):
     proj = mu.points @ u.vec
     scale = 1.0 + float(np.abs(proj).max())
     h = support_trimmed(mu, TrimmedRegionQuery(alpha, u))
-    back = _alpha_from_support(mu, u, h)
+    back = mu.project(u.vec).tail_mean_level(h)
     assert 0.0 < back <= 1.0
     assert support_trimmed(mu, TrimmedRegionQuery(back, u)) == pytest.approx(h, abs=1e-12 * scale)
-    assert _alpha_from_support(mu, u, float(proj.max())) == 1e-12
+    assert mu.project(u.vec).tail_mean_level(float(proj.max())) == 1e-12
     with pytest.raises(NoSolution):
-        _alpha_from_support(mu, u, float(proj.max()) + 1e-6 * scale)
+        mu.project(u.vec).tail_mean_level(float(proj.max()) + 1e-6 * scale)
     with pytest.raises(NoSolution):
-        _alpha_from_support(mu, u, float(mu.mean() @ u.vec) - 1e-6 * scale)
+        mu.project(u.vec).tail_mean_level(float(mu.mean() @ u.vec) - 1e-6 * scale)
 
 
 def test_support_one_ulp_below_the_top_ends_the_flat_segment():
@@ -343,7 +342,7 @@ def test_support_one_ulp_below_the_top_ends_the_flat_segment():
     mu = EmpiricalMeasure(np.array([[0.7], [-1.0]]), np.array([0.4, 0.6]))
     u = Direction([1.0])
     assert 0.7 * 0.4 / 0.4 < 0.7
-    assert _alpha_from_support(mu, u, float(np.nextafter(0.7, -np.inf))) == 0.4
+    assert mu.project(u.vec).tail_mean_level(float(np.nextafter(0.7, -np.inf))) == 0.4
 
 
 def test_support_one_ulp_below_a_tied_top_takes_the_whole_tie():
@@ -373,7 +372,7 @@ def test_support_excess_underflow_returns_the_top_mass(top_mass):
     mu = EmpiricalMeasure(pts, w)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        alpha = _alpha_from_support(mu, Direction([1.0]), -5e-324)
+        alpha = mu.project([1.0]).tail_mean_level(-5e-324)
     assert alpha == pytest.approx(top_mass, abs=1e-15)
 
 
@@ -437,4 +436,4 @@ def test_support_inversion_matches_the_grouped_sort_on_tied_grids(instance):
         expected = 1.0
     else:
         expected = _grouped_alpha(proj, mu.weights, h)
-    assert _alpha_from_support(mu, u, h) == pytest.approx(expected, abs=1e-12)
+    assert mu.project(u.vec).tail_mean_level(h) == pytest.approx(expected, abs=1e-12)

@@ -92,6 +92,50 @@ class TestDepthCommand:
         assert "row 2" in err
 
 
+    def test_singular_basis_on_a_near_flat_cloud_exits_2(self, capsys, tmp_path):
+        # the 248th cloud of a near-flat fuzz (n = 9, d = 5, thickness 4.6e-8):
+        # the depth LP at the midpoint of its first two atoms meets a basis
+        # that is singular to working precision
+        rng = np.random.default_rng(7)
+        for _ in range(248):
+            d = int(rng.integers(2, 6))
+            n = int(rng.integers(d + 2, 40))
+            s = 10 ** rng.uniform(-10.5, -6)
+            a = rng.standard_normal((n, d))
+            sc = np.ones(d)
+            sc[-1] = s
+            r = np.linalg.qr(rng.standard_normal((d, d)))[0]
+            pts = (a * sc) @ r.T
+        p = tmp_path / "flat.csv"
+        p.write_text("".join(",".join(map(repr, row)) + "\n" for row in pts.tolist()))
+        point = ",".join(map(repr, (0.5 * (pts[0] + pts[1])).tolist()))
+        code, out, err = run_cli(capsys, "depth", "--measure", str(p), f"--point={point}")
+        assert code == 2 and out == ""
+        assert err.startswith("domain condition: ") and len(err.splitlines()) == 1
+        assert "Traceback" not in err
+
+
+class TestDimensionMismatch:
+    """A vector of the wrong length is malformed input: one error line, exit 1."""
+
+    @pytest.mark.parametrize("argv", [
+        ["support", "--direction", "1,0,0"],
+        ["support", "--direction", "1,0,0", "--alpha", "0.5"],
+        ["support", "--direction", "1,0,0", "--lift-t", "0.3"],
+        ["barycenter", "--direction", "1,0,0", "--offset", "0.2"],
+        ["depth", "--point", "0.5,0.5,0"],
+        ["represent", "--point", "1,0,0"],
+        ["coords", "--from", "depth", "--scalar", "0.5", "--direction", "1,0,0"],
+    ])
+    @pytest.mark.parametrize("kind", ["measure", "gaussian"])
+    def test_exit_1_with_one_error_line(self, capsys, square_csv, std2_json, kind, argv):
+        source = square_csv if kind == "measure" else std2_json
+        code, out, err = run_cli(capsys, *argv, f"--{kind}", source)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "expected 2 entries, got 3" in err and "Traceback" not in err
+
+
 class TestContourCommand:
     def test_csv_is_convex_loop(self, capsys, square_csv):
         code, out, _ = run_cli(capsys, "contour", "--measure", square_csv,

@@ -14,6 +14,7 @@ from liftzonoid import (
     BarycentricCoords,
     CoordKind,
     DegenerateMeasure,
+    DimensionMismatch,
     Direction,
     DomainError,
     EmpiricalMeasure,
@@ -21,6 +22,7 @@ from liftzonoid import (
     HalfSpace,
     InputFormatError,
     NonFinite,
+    NoSolution,
     TrimmedRegionQuery,
     ZeroMass,
     convert_coords,
@@ -293,10 +295,16 @@ class TestEmpiricalMeasure:
     def test_mean(self, square):
         np.testing.assert_allclose(square.mean(), [0.0, 0.0], atol=1e-16)
 
-    def test_project_sorted(self, square):
-        proj = square.project(Direction([1.0, 0.0]))
-        np.testing.assert_array_equal(proj.values, [-1.0, -1.0, 1.0, 1.0])
-        np.testing.assert_array_equal(proj.weights, [0.25] * 4)
+    def test_project_keeps_atom_order(self, cloud):
+        mu = cloud(6, n=23, d=3)
+        vec = np.array([2.0, -0.5, 3.0])  # any spatial vector, not a unit one
+        proj = mu.project(vec)
+        np.testing.assert_array_equal(proj.values, mu.points @ vec)
+        np.testing.assert_array_equal(proj.weights, mu.weights)
+
+    def test_project_rejects_wrong_length(self, square):
+        with pytest.raises(DimensionMismatch):
+            square.project([1.0, 0.0, 0.0])
 
     def test_upper_quantile_two_atoms(self, two_atom):
         u = Direction([1.0])
@@ -413,6 +421,72 @@ class TestGaussianMeasure:
         np.testing.assert_allclose(nu.location, mat @ mu.location + 5.0)
         np.testing.assert_allclose(nu.covariance, mat @ mu.covariance @ mat.T,
                                    atol=1e-12)
+
+
+    def test_projection_along_zero_is_a_point_mass(self):
+        # the spatial part of the lift direction (1, 0) is the zero vector
+        law = GaussianMeasure.from_covariance([0.7, 1.0], [[2.0, 0.3], [0.3, 1.0]]).project([0.0, 0.0])
+        assert (law.mean, law.std) == (0.0, 0.0)
+        assert law.positive_part_mean(1.0) == 1.0 and law.positive_part_mean(-1.0) == 0.0
+        assert law.mass_above(0.0) == 1.0 and law.mass_above(1e-300) == 0.0
+        assert law.tail_mean(0.3) == 0.0 and law.upper_quantile(0.3) == 0.0
+        with pytest.raises(NoSolution):
+            law.tail_mean_level(0.0)
+
+
+def _descending_tables(values, weights):
+    """Values sorted descending, with the running mass W and running sum S of w v."""
+    order = np.argsort(-values, kind="stable")
+    v, w = values[order], weights[order]
+    return v, np.cumsum(w), np.cumsum(w * v)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.one_of(st.integers(1, 40), st.integers(300, 2000)),
+    d=st.integers(1, 3),
+    tied=st.booleans(),
+    scale=st.sampled_from([1e-3, 0.37, 1.0, 50.0]),
+    alpha=st.floats(1e-6, 1.0),
+    t=st.floats(-3.0, 3.0),
+    f=st.floats(0.01, 0.99),
+)
+@settings(max_examples=200, deadline=None)
+def test_projection_operations_match_sort_and_cumsum(seed, n, d, tied, scale, alpha, t, f):
+    rng = np.random.default_rng(seed)
+    pts = rng.integers(-3, 4, size=(n, d)).astype(float) if tied else rng.standard_normal((n, d))
+    w = rng.uniform(0.5, 2.0, n)
+    mu = EmpiricalMeasure(pts, w / w.sum())
+    vec = scale * rng.standard_normal(d)  # not a unit vector
+    law = mu.project(vec)
+    v, W, S = _descending_tables(mu.points @ vec, mu.weights)
+    tol = 1e-12 * (1.0 + float(np.abs(v).max()))
+
+    def above(k):  # (W, S) over the k largest values
+        return (W[k - 1], S[k - 1]) if k else (0.0, 0.0)
+
+    # E(t + V)_+ sums t + v over the values above -t
+    mass, total = above(int(np.sum(v > -t)))
+    assert law.positive_part_mean(t) == pytest.approx(t * mass + total, abs=tol * (1.0 + abs(t)))
+    # P(V >= a) is the running mass at the last value at or above a
+    for a in (t * scale, float(v[rng.integers(n)])):
+        assert law.mass_above(a) == pytest.approx(above(int(np.sum(v >= a)))[0], abs=1e-14)
+    # the first value whose running mass reaches alpha is the upper quantile and
+    # the marginal atom of the tail mean
+    k = min(int(np.searchsorted(W, alpha - 1e-12)), n - 1)
+    assert law.upper_quantile(alpha) == v[k]
+    mass, total = above(k)
+    assert law.tail_mean(alpha) == pytest.approx((total + (alpha - mass) * v[k]) / alpha, abs=tol / alpha)
+    # a level h between the mean and the top: the marginal atom is the first
+    # value below h where the running excess S - W h stops being positive
+    mean = float(mu.weights @ (mu.points @ vec))
+    if v[0] - mean > 1e-6 * scale:
+        h = mean + f * (v[0] - mean)
+        excess = S - W * h
+        k = int(np.flatnonzero((v < h) & (excess <= 0.0))[0])
+        expected = W[k - 1] + excess[k - 1] / (h - v[k])
+        expected = min(max(expected, W[k - 1]), W[k])
+        assert law.tail_mean_level(h) == pytest.approx(expected, abs=1e-10)
 
 
 @given(st.floats(min_value=-3, max_value=3), st.floats(min_value=0.1, max_value=4))

@@ -54,10 +54,12 @@ class TestSupportZonoid:
 
 
 class TestSupportLiftZonoid:
-    def test_mass_direction(self, square):
-        # (t, 0) with t = 1 reads off the total mass
+    def test_mass_direction(self, square, std2):
+        # (t, 0) with t = 1 reads off the total mass; a Gaussian's law along
+        # the zero spatial part has std 0
         lift = LiftDirection.of(1.0, [0.0, 0.0])
-        assert support_lift_zonoid(square, lift) == pytest.approx(1.0, abs=1e-15)
+        for mu in (square, std2):
+            assert support_lift_zonoid(mu, lift) == pytest.approx(1.0, abs=1e-15)
 
     def test_spatial_slice_is_zonoid_support(self, cloud):
         mu = cloud(8, n=19, d=2)
