@@ -203,31 +203,34 @@ def point_from_coords(mu, coords: BarycentricCoords) -> np.ndarray:
     u = coords.direction
     if coords.kind is CoordKind.OFFSET:
         return mu.halfspace_barycenter(HalfSpace(u, coords.scalar))
-    if coords.kind is CoordKind.SUPPORT:
-        alpha = mu.project(u.vec).tail_mean_level(coords.scalar)
-    else:
-        alpha = coords.scalar
-    if alpha >= 1.0:
-        return mu.mean()
-    return trimmed_boundary_point(mu, TrimmedRegionQuery(alpha, u))
+    if coords.kind is CoordKind.DEPTH:
+        if coords.scalar >= 1.0:
+            return mu.mean()
+        return trimmed_boundary_point(mu, TrimmedRegionQuery(coords.scalar, u))
+    # the inversion's split at the support level fixes the boundary point
+    split = mu.project(u.vec).split_at_level(coords.scalar)
+    return mu.mean() if split.alpha >= 1.0 else mu.tail_barycenter(split, u)
 
 
 def convert_coords(mu, coords: BarycentricCoords, kind) -> BarycentricCoords:
     """Convert between the three forms keeping the direction fixed.
 
     The scalars are linked through alpha: mass of the offset half-space,
-    inverse of the support map, or the depth itself.
+    inverse of the support map, or the depth itself. From a support value
+    the inversion's split also gives the offset, its threshold.
     """
     kind = CoordKind(kind)
     if kind is coords.kind:
         return coords
     u = coords.direction
+    split = None
     if coords.kind is CoordKind.OFFSET:
         alpha = mu.halfspace_mass(HalfSpace(u, coords.scalar))
         if alpha <= 0.0:
             raise ZeroMass("offset half-space carries no mass")
     elif coords.kind is CoordKind.SUPPORT:
-        alpha = mu.project(u.vec).tail_mean_level(coords.scalar)
+        split = mu.project(u.vec).split_at_level(coords.scalar)
+        alpha = split.alpha
     else:
         alpha = coords.scalar
     if kind is CoordKind.DEPTH:
@@ -235,7 +238,7 @@ def convert_coords(mu, coords: BarycentricCoords, kind) -> BarycentricCoords:
     elif kind is CoordKind.SUPPORT:
         scalar = support_trimmed(mu, TrimmedRegionQuery(alpha, u))
     else:
-        scalar = mu.upper_quantile(u, alpha)
+        scalar = mu.upper_quantile(u, alpha) if split is None else split.threshold
     return BarycentricCoords(kind=kind, scalar=scalar, direction=u)
 
 

@@ -11,6 +11,14 @@ whose tail mean is h. Only barycenters need the whole measure. Both
 measure classes implement the same method surface, so callers can stay
 agnostic where the math allows it.
 
+The offset a, the trimmed support h and the depth alpha of one direction
+meet in one upper-alpha split of V, a ``TailSplit``: the threshold a (the
+upper quantile), the atoms above it, the tied marginal atoms and the mass
+they share. ``split(alpha)`` gives it at a mass level and
+``split_at_level(h)`` at a support level, where the exact inversion's
+marginal atom is already the threshold. ``mu.tail_barycenter`` turns a
+split into the boundary point of the trimmed region.
+
 File formats: point clouds are CSV (one atom per row, optional final
 ``weight`` column when a header is present), Gaussians are JSON with
 ``mean`` and ``covariance`` entries. The whole space is encoded as a
@@ -142,6 +150,23 @@ class HalfSpace:
 
 
 @dataclass(frozen=True, eq=False)
+class TailSplit:
+    """The upper-``alpha`` mass of a projected law, split at its threshold.
+
+    ``threshold`` is the upper quantile. For an empirical law, ``full``
+    marks the atoms strictly above it, ``tie`` indexes the atoms at it and
+    ``residual`` is the mass they share; a Gaussian has no atoms, so both
+    are None and the residual is 0.
+    """
+
+    alpha: float
+    threshold: float
+    full: np.ndarray | None
+    tie: np.ndarray | None
+    residual: float
+
+
+@dataclass(frozen=True, eq=False)
 class EmpiricalProjection:
     """Law of V = <X, v> under an empirical measure.
 
@@ -171,7 +196,17 @@ class EmpiricalProjection:
         """P(V >= a)."""
         return float(self.weights[self.values >= a].sum())
 
+    def split(self, alpha: float) -> TailSplit:
+        """The upper-alpha split of V (see ``upper_mass_split``)."""
+        alpha = _check_alpha(alpha)
+        threshold, full, tie, residual = upper_mass_split(self.values, self.weights, alpha)
+        return TailSplit(alpha, threshold, full, np.flatnonzero(tie), residual)
+
     def tail_mean_level(self, h: float) -> float:
+        """The alpha whose tail mean is h (see ``split_at_level``)."""
+        return self.split_at_level(h).alpha
+
+    def split_at_level(self, h: float) -> TailSplit:
         """Invert the strictly decreasing alpha -> tail_mean(alpha) map exactly.
 
         The trimmed support is a tail mean, alpha h = min_t [E(V - t)_+ +
@@ -185,6 +220,11 @@ class EmpiricalProjection:
         W_>=], the masses above and at v_k. A level at the farthest
         projection returns 1e-12, one at the mean returns 1.0; a level more
         than 1e-9 (relative) outside that range raises NoSolution.
+
+        The split at alpha is the one ``split(alpha)`` returns: v_k is its
+        threshold unless alpha lies within the selection's 1e-12 slack of
+        W_>, where the threshold may be the next atom up. Only then, and at
+        the ends of the range, is the selection run a second time.
         """
         proj, w = self.values, self.weights
         top, low = float(proj.max()), float(proj.min())
@@ -195,24 +235,32 @@ class EmpiricalProjection:
         if mean - h > 1e-9 * scale:
             raise NoSolution("support level lies below the mean projection")
         if h >= top:
-            return 1e-12
+            return self.split(1e-12)
         if h <= mean + 1e-13 * scale:  # the mean, up to the rounding of its sum
-            return 1.0
+            return self.split(1.0)
         gap = proj - h
         excess = float(w @ np.maximum(gap, 0.0))
         if excess <= np.finfo(float).tiny * (h - low):
             # P underflowed (h a few ulps below a top near 0), or dividing by it
             # would overflow: alpha is the mass at or above h, up to P / (h - v_k)
-            return float(w @ (gap >= 0.0))
-        below = np.flatnonzero(gap < 0.0)
-        # normalised by P, the kernel's absolute 1e-12 slack is relative: a
-        # neighbouring segment moves alpha by at most 1e-12, as P/(h - v_k) <= alpha
-        vk, _, _, _ = upper_mass_split(proj[below], w[below] * (gap[below] / -excess), 1.0)
-        w_gt = w * (proj > vk)
+            return self.split(float(w @ (gap >= 0.0)))
+        # the deficit weights, 0 at and above h; normalised by P, the kernel's
+        # absolute 1e-12 slack is relative: a neighbouring segment moves alpha
+        # by at most 1e-12, as P/(h - v_k) <= alpha
+        deficit = np.minimum(gap, 0.0)
+        deficit /= -excess
+        deficit *= w
+        vk, full, tie, _ = upper_mass_split(proj, deficit, 1.0)
+        w_gt = w * full
+        tie = np.flatnonzero(tie)
         mass_gt = float(w_gt.sum())
-        mass_ge = mass_gt + float(w[proj == vk].sum())
+        mass_tie = float(w.take(tie).sum())
         alpha = mass_gt + float(w_gt @ gap) / (h - vk)
-        return min(max(alpha, mass_gt), mass_ge, 1.0)
+        alpha = min(max(alpha, mass_gt), mass_gt + mass_tie, 1.0)
+        # the slack, plus the rounding of the kernel's mass sums
+        if alpha - mass_gt <= 2e-12:
+            return self.split(alpha)
+        return TailSplit(alpha, vk, full, tie, min(alpha - mass_gt, mass_tie))
 
 
 @dataclass(frozen=True)
@@ -250,6 +298,15 @@ class GaussianProjection:
             return float(self.mean >= a)
         return normal_sf((a - self.mean) / self.std)
 
+    def split(self, alpha: float) -> TailSplit:
+        """The upper-alpha split of V: its threshold is the upper quantile."""
+        alpha = _check_alpha(alpha)
+        return TailSplit(alpha, self.upper_quantile(alpha), None, None, 0.0)
+
+    def split_at_level(self, h: float) -> TailSplit:
+        """The upper-alpha split whose tail mean is h."""
+        return self.split(self.tail_mean_level(h))
+
     def tail_mean_level(self, h: float) -> float:
         """Invert the strictly decreasing alpha -> tail_mean(alpha) map: Phi(G^-1((h - mean)/std))."""
         if self.std == 0.0:
@@ -282,7 +339,11 @@ def upper_mass_split(values: np.ndarray, weights: np.ndarray, alpha: float):
     atoms at the threshold share the residual mass ``alpha - mass(full)``.
     ``threshold`` is always one of the atom values (the upper quantile):
     the largest one whose closed upper mass reaches ``alpha - 1e-12``, or
-    the smallest one when none does. Weights must be positive.
+    the smallest one when none does. Weights must be nonnegative. An atom
+    of zero weight adds no mass, so the support inversion can pass every
+    atom and weight those at or above its level by zero. For alpha above
+    the 1e-12 slack such an atom is never the threshold, unless no atom
+    reaches the level at all.
 
     The threshold comes from a weighted selection, not a full sort, with
     the sampled pivots of Floyd and Rivest (1975). Each round reads the
@@ -309,7 +370,7 @@ def upper_mass_split(values: np.ndarray, weights: np.ndarray, alpha: float):
     median_next = False
     while cv.size > _SELECT_BASE:
         m = cv.size
-        share = min(max((target - above) / mass, 0.0), 1.0)
+        share = min(max((target - above) / mass, 0.0), 1.0) if mass > 0.0 else 1.0
         sample = _SAMPLE * m // _SELECT_BASE
         sw = cw.take(sample)
         if median_next or sw.min() == sw.max():
@@ -355,6 +416,13 @@ def upper_mass_split(values: np.ndarray, weights: np.ndarray, alpha: float):
         mass_tie = float(cw[cv == threshold].sum())
     residual = min(max(alpha - mass_full, 0.0), mass_tie)
     return threshold, values > threshold, values == threshold, residual
+
+
+def _is_whole_space(halfspace: HalfSpace, dim: int) -> bool:
+    """Whether the half-space is the whole space, once its direction fits ``dim``."""
+    if halfspace.direction.dim != dim:
+        raise DimensionMismatch(f"direction: expected {dim} entries, got {halfspace.direction.dim}")
+    return halfspace.is_whole_space
 
 
 def _check_alpha(alpha: float) -> float:
@@ -439,13 +507,25 @@ class EmpiricalMeasure:
 
     def halfspace_mass(self, halfspace: HalfSpace) -> float:
         """Total weight of atoms inside the closed half-space."""
-        if halfspace.is_whole_space:
+        if _is_whole_space(halfspace, self.dim):
             return 1.0
         return self.project(halfspace.direction.vec).mass_above(halfspace.offset)
 
+    def tail_barycenter(self, split: TailSplit, direction: Direction) -> np.ndarray:
+        """Barycenter of a split's upper mass: the trimmed region's boundary point.
+
+        Atoms above the threshold count fully; the tied marginal atoms share
+        the residual mass in proportion to their weights.
+        """
+        acc = (self.weights * split.full) @ self.points
+        if split.residual > 0.0:
+            w_tie = self.weights.take(split.tie)
+            acc = acc + (split.residual / float(w_tie.sum())) * (w_tie @ self.points.take(split.tie, axis=0))
+        return acc / split.alpha
+
     def halfspace_barycenter(self, halfspace: HalfSpace) -> np.ndarray:
         """Barycenter of the measure restricted to the half-space."""
-        if halfspace.is_whole_space:
+        if _is_whole_space(halfspace, self.dim):
             return np.array(self.mean())
         inside = self.project(halfspace.direction.vec).values >= halfspace.offset
         mass = float(self.weights[inside].sum())
@@ -534,9 +614,13 @@ class GaussianMeasure:
     def halfspace_mass(self, halfspace: HalfSpace) -> float:
         return self.project(halfspace.direction.vec).mass_above(halfspace.offset)
 
+    def tail_barycenter(self, split: TailSplit, direction: Direction) -> np.ndarray:
+        """Barycenter of a split's upper mass: the half-space's above the threshold."""
+        return self.halfspace_barycenter(HalfSpace(direction, split.threshold))
+
     def halfspace_barycenter(self, halfspace: HalfSpace) -> np.ndarray:
         """Conditional mean given the half-space, via the Mills-ratio closed form."""
-        if halfspace.is_whole_space:
+        if _is_whole_space(halfspace, self.dim):
             return self.mean()
         u = halfspace.direction.vec
         law = self.project(u)

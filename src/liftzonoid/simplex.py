@@ -19,6 +19,16 @@ implementation", 2005). For the depth LP, D(y) is the lift-zonoid support
 function E(1 + <v, X - x>)_+ at v = -y. A row that stays out of its box
 after every flip proves the LP infeasible.
 
+The descent usually stops after a few dozen of its thousands of
+breakpoints, so only a prefix of them is ordered: the ``_SELECT_BASE``
+smallest ratios by ``np.partition``, then every breakpoint at or below that
+pivot, in index order, stable-sorted. That prefix and its running sum are
+exactly the first entries of a full stable sort's. The prefix doubles
+while the descent has not stopped, up to the full set. The weighted
+selection of ``measures.upper_mass_split`` is not used here: at a few
+thousand breakpoints its per-round Python overhead costs as much as the
+sort it would save.
+
 The m x m basis is inverted afresh every iteration, which is cheap at
 these row counts and sidesteps update drift. Leaving rows follow exact
 dual steepest-edge pricing until a streak of zero-length dual steps, after
@@ -33,6 +43,7 @@ import numpy as np
 
 from .config import DEFAULT_TOLS
 from .errors import NotConverged
+from .measures import _SELECT_BASE
 
 _PIVOT_TOL = 1e-9  # smaller |alpha_rj| defines no breakpoint
 _PRIMAL_TOL = 1e-11  # box violation accepted, relative to the largest bound
@@ -127,31 +138,14 @@ def solve_bounded_lp(
         sign = 1.0 if below[r] > 0.0 else -1.0
         alpha = binv[r] @ cols
         slope = np.where(at_upper, sign * alpha, -sign * alpha)
-        # tiny pivots are taken only when the row cannot be repaired without
-        # them; if it cannot be repaired with them either, D descends forever
-        for pivot_tol in (_PIVOT_TOL, 0.0):
-            cand = np.flatnonzero(nonbasic & movable & (slope > pivot_tol))
-            gap = np.where(at_upper[cand], rc[cand], -rc[cand])
-            ratio = np.maximum(gap, 0.0) / np.abs(alpha[cand])
-            order = np.argsort(ratio, kind="stable")
-            cand, ratio = cand[order], ratio[order]
-            # descent rate of D after passing each breakpoint
-            descent = excess[r] - np.cumsum(np.abs(alpha[cand]) * width[cand])
-            passed = np.flatnonzero(descent <= tol_p)
-            if passed.size:
-                break
-        else:
+        move = _ratio_test(
+            alpha, rc, slope, nonbasic & movable, at_upper, width, excess[r], tol_p, tol_d, bland
+        )
+        if move is None:
             return SimplexResult("infeasible", None, None, -np.inf, iterations, flips, False)
-        k = int(passed[0])
-        # Harris window: among breakpoints within tolerance of the first
-        # one that stops the descent, enter the most stable column
-        tail = cand[k:]
-        harris = float(np.min((np.abs(rc[tail]) + tol_d) / np.abs(alpha[tail])))
-        window = tail[ratio[k:] <= harris]
-        q = int(window.min()) if bland else int(window[np.argmax(np.abs(alpha[window]))])
-
-        at_upper[cand[:k]] ^= True
-        flips += k
+        flipped, q = move
+        at_upper[flipped] ^= True
+        flips += flipped.size
         leaving = basis[r]
         at_upper[leaving] = sign < 0.0
         nonbasic[leaving] = True
@@ -176,3 +170,52 @@ def solve_bounded_lp(
         "optimal", x, y / row_scale, float(c @ x), iterations, flips,
         dual_degenerate, degenerate_basis,
     )
+
+
+def _ratio_test(alpha, rc, slope, free, at_upper, width, excess, tol_p, tol_d, bland):
+    """Long-step ratio test along the dual direction of one leaving row.
+
+    Returns ``(flipped, q)``: the columns whose breakpoints the descent
+    passes, which move to their other bound, and the entering column q;
+    or None when D descends past every breakpoint. Only the passed prefix
+    of the breakpoints is ordered (see the module docstring).
+    """
+    # tiny pivots are taken only when the row cannot be repaired without
+    # them; if it cannot be repaired with them either, D descends forever
+    for pivot_tol in (_PIVOT_TOL, 0.0):
+        cand = np.flatnonzero(free & (slope > pivot_tol))
+        size = np.abs(alpha[cand])
+        gap = np.where(at_upper[cand], rc[cand], -rc[cand])
+        ratio = np.maximum(gap, 0.0) / size
+        step = size * width[cand]
+        m = _SELECT_BASE
+        while True:
+            if m < cand.size:
+                prefix = np.flatnonzero(ratio <= np.partition(ratio, m - 1)[m - 1])
+            else:
+                prefix = np.arange(cand.size)
+            prefix = prefix[np.argsort(ratio[prefix], kind="stable")]
+            # descent rate of D after passing each breakpoint
+            passed = np.flatnonzero(excess - np.cumsum(step[prefix]) <= tol_p)
+            if passed.size or prefix.size == cand.size:
+                break
+            m *= 2
+        if passed.size:
+            break
+    else:
+        return None
+    flipped, stop = prefix[: passed[0]], prefix[passed[0]]
+    # Harris window: among the breakpoints not passed that lie within
+    # tolerance of the first one that stops the descent, enter the most
+    # stable column; ties go to the smaller ratio, then the smaller index,
+    # as in a stable sort. A breakpoint's tolerance bound is at least its
+    # ratio, so none above the stopping one's bound can set the window.
+    near = np.ones(cand.size, dtype=bool)
+    near[flipped] = False
+    near = np.flatnonzero(near & (ratio <= (abs(rc[cand[stop]]) + tol_d) / size[stop]))
+    harris = float(np.min((np.abs(rc[cand[near]]) + tol_d) / size[near]))
+    window = near[ratio[near] <= harris]
+    if bland:
+        return cand[flipped], int(cand[window[0]])
+    best = window[size[window] == size[window].max()]
+    return cand[flipped], int(cand[best[np.argmin(ratio[best])]])

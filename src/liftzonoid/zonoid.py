@@ -23,10 +23,7 @@ from .errors import DimensionMismatch, DomainError, NonFinite, WrongDimension
 from .measures import (
     Direction,
     EmpiricalMeasure,
-    GaussianMeasure,
-    HalfSpace,
     as_vector,
-    upper_mass_split,
     _check_alpha,
     _freeze,
 )
@@ -120,17 +117,8 @@ def trimmed_boundary_point(mu, query: TrimmedRegionQuery) -> np.ndarray:
     proportion to their weights. Gaussian measures reduce to the
     half-space barycenter at the upper-alpha quantile.
     """
-    alpha, u = query.alpha, query.direction
-    if isinstance(mu, EmpiricalMeasure):
-        _, full, tie, residual = upper_mass_split(mu.project(u.vec).values, mu.weights, alpha)
-        acc = (mu.weights * full) @ mu.points
-        mass_tie = float(mu.weights[tie].sum())
-        if mass_tie > 0.0 and residual > 0.0:
-            acc = acc + (residual / mass_tie) * (mu.weights[tie] @ mu.points[tie])
-        return acc / alpha
-    if isinstance(mu, GaussianMeasure):
-        return mu.halfspace_barycenter(HalfSpace(u, mu.upper_quantile(u, alpha)))
-    raise TypeError(f"unsupported measure type {type(mu).__name__}")
+    u = query.direction
+    return mu.tail_barycenter(mu.project(u.vec).split(query.alpha), u)
 
 
 def zonotope_polygon_2d(mu: EmpiricalMeasure) -> Polygon2D:

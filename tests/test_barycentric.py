@@ -30,6 +30,7 @@ from liftzonoid import (
     point_from_coords,
     represent,
     support_trimmed,
+    trimmed_boundary_point,
     verify_uniqueness,
 )
 
@@ -437,3 +438,95 @@ def test_support_inversion_matches_the_grouped_sort_on_tied_grids(instance):
     else:
         expected = _grouped_alpha(proj, mu.weights, h)
     assert mu.project(u.vec).tail_mean_level(h) == pytest.approx(expected, abs=1e-12)
+
+
+@st.composite
+def _split_levels(draw):
+    """A uniform, weighted or tied-integer cloud, a direction and a support level.
+
+    The levels: the top projection, one ulp below it, an atom above the
+    mean, the mean, a level above the top or below the mean (NoSolution),
+    and levels whose depth lies within 1e-12 of the mass above an atom,
+    where the inversion's marginal atom and the upper quantile may differ.
+    """
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    kind = draw(st.sampled_from(["uniform", "weighted", "tied"]))
+    d = draw(st.integers(min_value=1, max_value=3))
+    n = draw(st.one_of(st.integers(min_value=1, max_value=40), st.integers(min_value=200, max_value=1500)))
+    if kind == "tied":
+        pts = rng.integers(-3, 4, size=(n, d)).astype(float) * draw(st.sampled_from([1e-3, 1.0, 1e3]))
+        w = rng.integers(1, 5, size=n).astype(float)
+    else:
+        pts = rng.standard_normal((n, d))
+        w = np.ones(n) if kind == "uniform" else rng.uniform(0.05, 1.0, n)
+    axis = rng.integers(-1, 2, size=d).astype(float)
+    u = Direction.of(axis if axis.any() and draw(st.booleans()) else rng.standard_normal(d))
+    mu = EmpiricalMeasure(pts, w / w.sum())
+    proj = pts @ u.vec
+    top, mean = float(proj.max()), float(mu.weights @ proj)
+    scale = 1.0 + float(np.abs(proj).max())
+    where = draw(st.sampled_from(["top", "ulp", "atom", "mean", "outside", "kink"]))
+    if where == "top":
+        h = top
+    elif where == "ulp":
+        h = float(np.nextafter(top, -np.inf))
+    elif where == "atom":
+        upper = proj[proj >= mean]
+        h = float(upper[draw(st.integers(min_value=0, max_value=upper.size - 1))])
+    elif where == "mean":
+        h = mean
+    elif where == "outside":
+        h = draw(st.sampled_from([top + 1e-6 * scale, mean - 1e-6 * scale]))
+    else:  # alpha at the mass strictly above an atom, give or take the slack
+        above = np.array([mu.weights[proj > v].sum() for v in np.unique(proj)])
+        mass = float(above[draw(st.integers(min_value=0, max_value=above.size - 1))])
+        alpha = mass + draw(st.sampled_from([0.0, 1e-13, 9e-13, 1.5e-12, -1e-13]))
+        h = support_trimmed(mu, TrimmedRegionQuery(alpha if 0.0 < alpha <= 1.0 else 1.0, u))
+    return mu, u, h
+
+
+@given(_split_levels())
+@settings(max_examples=400, deadline=None)
+def test_support_split_gives_the_upper_quantile_and_the_boundary_point(instance):
+    mu, u, h = instance
+    coords = BarycentricCoords(CoordKind.SUPPORT, h, u)
+    try:
+        alpha = convert_coords(mu, coords, CoordKind.DEPTH).scalar
+    except NoSolution:
+        for convert in (
+            lambda: convert_coords(mu, coords, CoordKind.OFFSET),
+            lambda: point_from_coords(mu, coords),
+            lambda: mu.project(u.vec).tail_mean_level(h),
+        ):
+            with pytest.raises(NoSolution):
+                convert()
+        return
+    offset = convert_coords(mu, coords, CoordKind.OFFSET).scalar
+    assert offset == mu.upper_quantile(u, alpha)  # bit for bit
+    point = point_from_coords(mu, coords)
+    if alpha >= 1.0:
+        np.testing.assert_array_equal(point, mu.mean())
+    else:
+        expected = trimmed_boundary_point(mu, TrimmedRegionQuery(alpha, u))
+        scale = 1.0 + float(np.abs(mu.points).max())
+        np.testing.assert_allclose(point, expected, rtol=0.0, atol=4.4e-16 * scale)
+
+
+@pytest.mark.parametrize("offset_sd", [0.0, 0.3, 1.0, 2.5, 6.0])
+def test_gaussian_support_split_gives_the_upper_quantile_and_the_boundary_point(offset_sd):
+    g = GaussianMeasure.from_covariance([0.5, -1.0], [[2.0, 0.6], [0.6, 1.0]])
+    u = Direction.of([0.8, -0.3])
+    law = g.project(u.vec)
+    h = law.mean + offset_sd * law.std
+    coords = BarycentricCoords(CoordKind.SUPPORT, h, u)
+    alpha = convert_coords(g, coords, CoordKind.DEPTH).scalar
+    assert convert_coords(g, coords, CoordKind.OFFSET).scalar == g.upper_quantile(u, alpha)
+    point = point_from_coords(g, coords)
+    if alpha >= 1.0:
+        np.testing.assert_array_equal(point, g.mean())
+    else:
+        np.testing.assert_array_equal(point, trimmed_boundary_point(g, TrimmedRegionQuery(alpha, u)))
+    with pytest.raises(NoSolution):
+        point_from_coords(g, BarycentricCoords(CoordKind.SUPPORT, law.mean - 1e-6, u))
+    with pytest.raises(NoSolution):
+        convert_coords(g, BarycentricCoords(CoordKind.SUPPORT, law.mean - 1e-6, u), CoordKind.OFFSET)

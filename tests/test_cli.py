@@ -126,6 +126,9 @@ class TestDimensionMismatch:
         ["depth", "--point", "0.5,0.5,0"],
         ["represent", "--point", "1,0,0"],
         ["coords", "--from", "depth", "--scalar", "0.5", "--direction", "1,0,0"],
+        # the whole space has a direction too, and it must fit the measure
+        ["barycenter", "--direction", "1,0,0", "--offset=-inf"],
+        ["coords", "--from", "offset", "--scalar=-inf", "--direction", "1,0,0", "--to", "depth"],
     ])
     @pytest.mark.parametrize("kind", ["measure", "gaussian"])
     def test_exit_1_with_one_error_line(self, capsys, square_csv, std2_json, kind, argv):

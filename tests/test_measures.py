@@ -103,6 +103,14 @@ class TestUpperMassSplit:
         np.testing.assert_array_equal(tie, [False, False, True, False])
         assert residual == pytest.approx(0.1)
 
+    def test_zero_weights_below_an_unreached_level(self):
+        # the weights fall short of alpha, so no atom reaches it and the
+        # threshold is the smallest atom, though a round keeps only atoms
+        # of zero weight
+        v = np.arange(600.0)
+        w = np.where(v >= 300.0, (1.0 - 1e-9) / 300, 0.0)
+        assert upper_mass_split(v, w, 1.0)[0] == 0.0
+
     def test_alpha_one_takes_everything(self):
         v = np.array([2.0, -5.0])
         thr, full, tie, residual = upper_mass_split(v, np.array([0.5, 0.5]), 1.0)
@@ -147,6 +155,36 @@ def test_selection_matches_sorted_split(seed, n, levels, weights, alpha_kind, fr
         "one": 1.0,
         "random": max(fraction, 1e-12),
     }[alpha_kind]
+    thr, full, tie, residual = upper_mass_split(v, w, alpha)
+    ref_thr, ref_full, ref_tie, ref_residual = _sorted_split(v, w, alpha)
+    assert thr == ref_thr
+    np.testing.assert_array_equal(full, ref_full)
+    np.testing.assert_array_equal(tie, ref_tie)
+    assert abs(residual - ref_residual) <= 1e-15
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.one_of(st.integers(1, 40), st.integers(_SELECT_BASE, 8 * _SELECT_BASE)),
+    levels=st.one_of(st.integers(1, 12), st.integers(13, 4000)),
+    zeros=st.sampled_from(["above", "scattered"]),
+    share=st.floats(0.0, 0.95),
+    alpha=st.one_of(st.just(1.0), st.floats(2e-12, 1.0)),
+)
+@settings(max_examples=300, deadline=None)
+def test_selection_with_zero_weights_matches_sorted_split(seed, n, levels, zeros, share, alpha):
+    # the support inversion passes every atom, weighting those at or above
+    # its level by zero; zero weights anywhere else must not move the split.
+    # At alpha <= 1e-12 every atom reaches the level, zero-weight ones too.
+    rng = np.random.default_rng(seed)
+    v = rng.integers(-levels, levels + 1, n).astype(float)
+    w = rng.uniform(0.5, 2.0, n)
+    if zeros == "above":
+        w[v >= np.quantile(v, 1.0 - share)] = 0.0
+    else:
+        w[rng.uniform(size=n) < share] = 0.0
+    w[np.argmin(v)] = 1.0  # some mass at the bottom
+    w /= w.sum()
     thr, full, tie, residual = upper_mass_split(v, w, alpha)
     ref_thr, ref_full, ref_tie, ref_residual = _sorted_split(v, w, alpha)
     assert thr == ref_thr
@@ -325,6 +363,15 @@ class TestEmpiricalMeasure:
         assert square.halfspace_mass(HalfSpace(u, 1.0)) == 0.5  # closed: atoms count
         assert square.halfspace_mass(HalfSpace(u, 1.0 + 1e-12)) == 0.0
         assert square.halfspace_mass(HalfSpace(u, float("-inf"))) == 1.0
+
+    @pytest.mark.parametrize("offset", [float("-inf"), 0.5])
+    def test_halfspace_direction_must_fit_even_the_whole_space(self, square, std2, offset):
+        halfspace = HalfSpace(Direction([1.0, 0.0, 0.0]), offset)
+        for mu in (square, std2):
+            with pytest.raises(DimensionMismatch):
+                mu.halfspace_mass(halfspace)
+            with pytest.raises(DimensionMismatch):
+                mu.halfspace_barycenter(halfspace)
 
     def test_halfspace_barycenter(self, square):
         u = Direction([1.0, 0.0])

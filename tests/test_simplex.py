@@ -9,6 +9,7 @@ import scipy.optimize
 
 from liftzonoid import simplex
 from liftzonoid.errors import NotConverged
+from liftzonoid.measures import _SELECT_BASE
 from liftzonoid.simplex import solve_bounded_lp
 
 
@@ -158,3 +159,100 @@ def test_iteration_cap_raises_not_converged():
     with pytest.raises(NotConverged):
         solve_bounded_lp(A, np.array([0.0]), np.array([1.0, 1.0]),
                          np.zeros(2), np.full(2, 0.5), max_iterations=0)
+
+
+def _full_sort_ratio_test(alpha, rc, slope, free, at_upper, width, excess, tol_p, tol_d, bland):
+    """The ratio test with a full stable sort of every breakpoint (test-only reference)."""
+    for pivot_tol in (simplex._PIVOT_TOL, 0.0):
+        cand = np.flatnonzero(free & (slope > pivot_tol))
+        gap = np.where(at_upper[cand], rc[cand], -rc[cand])
+        ratio = np.maximum(gap, 0.0) / np.abs(alpha[cand])
+        order = np.argsort(ratio, kind="stable")
+        cand, ratio = cand[order], ratio[order]
+        descent = excess - np.cumsum(np.abs(alpha[cand]) * width[cand])
+        passed = np.flatnonzero(descent <= tol_p)
+        if passed.size:
+            break
+    else:
+        return None
+    k = int(passed[0])
+    tail = cand[k:]
+    harris = float(np.min((np.abs(rc[tail]) + tol_d) / np.abs(alpha[tail])))
+    window = tail[ratio[k:] <= harris]
+    q = int(window.min()) if bland else int(window[np.argmax(np.abs(alpha[window]))])
+    return cand[:k], q
+
+
+def _depth_lp(rng, kind, d, n):
+    """The depth LP of a Gaussian, weighted or integer-grid cloud at a random query."""
+    if kind == "grid":  # few integer sites, so atoms repeat and ratios tie
+        pts = rng.integers(-3, 4, size=(n, d)).astype(float)
+        w = np.full(n, 1.0 / n)
+    else:
+        pts = rng.standard_normal((n, d))
+        w = rng.uniform(0.05, 1.0, n) if kind == "weighted" else np.ones(n)
+        w = w / w.sum()
+    mean = w @ pts
+    x = mean + rng.uniform(0.0, 1.6) * (pts[rng.integers(n)] - mean)
+    return (pts - x).T, np.zeros(d), np.ones(n), np.zeros(n), w
+
+
+def _solve_or_error(lp):
+    try:
+        return solve_bounded_lp(*lp)
+    except (NotConverged, np.linalg.LinAlgError) as exc:
+        return type(exc)
+
+
+def _assert_same_solution(res, ref):
+    if isinstance(ref, type):
+        assert res is ref
+        return
+    assert (res.status, res.iterations, res.bound_flips) == (ref.status, ref.iterations, ref.bound_flips)
+    assert (res.dual_degenerate, res.degenerate_basis) == (ref.dual_degenerate, ref.degenerate_basis)
+    assert res.objective == ref.objective
+    if ref.x is None:
+        assert res.x is None and res.dual is None
+    else:
+        np.testing.assert_array_equal(res.x, ref.x)
+        np.testing.assert_array_equal(res.dual, ref.dual)
+
+
+@pytest.mark.parametrize("chunk", range(10))
+def test_prefix_ratio_test_matches_full_sort(monkeypatch, chunk):
+    # 100 depth LPs a chunk, 1000 in all, d 2 to 5: n below 300, or one in
+    # ten log-uniform up to 5000; odd chunks switch to the smallest-index
+    # rule after the first zero-length dual step
+    if chunk % 2:
+        monkeypatch.setattr(simplex, "_DEGENERATE_STREAK", 1)
+    rng = np.random.default_rng([500, chunk])
+    lps = []
+    for _ in range(100):
+        d = int(rng.integers(2, 6))
+        n = int(np.exp(rng.uniform(np.log(max(5, d + 2)), np.log(5000))) if rng.uniform() < 0.1
+                else rng.integers(max(5, d + 2), 300))
+        lps.append(_depth_lp(rng, ["gaussian", "weighted", "grid"][int(rng.integers(3))], d, n))
+    results = [_solve_or_error(lp) for lp in lps]
+    monkeypatch.setattr(simplex, "_ratio_test", _full_sort_ratio_test)
+    for lp, res in zip(lps, results):
+        _assert_same_solution(res, _solve_or_error(lp))
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "weighted", "grid"])
+def test_prefix_ratio_test_widens_past_the_first_prefix(monkeypatch, kind):
+    # large clouds pass more than _SELECT_BASE breakpoints on the first
+    # iterations, so the prefix must widen, here at least twice
+    rng = np.random.default_rng(["gaussian", "weighted", "grid"].index(kind))
+    lps = [_depth_lp(rng, kind, d, 5000) for d in (2, 5)]
+    results = [_solve_or_error(lp) for lp in lps]
+    passed = []
+
+    def recording(*args):
+        step = _full_sort_ratio_test(*args)
+        passed.append(0 if step is None else step[0].size)
+        return step
+
+    monkeypatch.setattr(simplex, "_ratio_test", recording)
+    for lp, res in zip(lps, results):
+        _assert_same_solution(res, _solve_or_error(lp))
+    assert max(passed) > 2 * _SELECT_BASE
