@@ -9,8 +9,7 @@ value h = <x, u> of the trimmed region through x, and the depth alpha.
 
 The empirical solver runs the depth LP and reads the supporting
 direction off the dual; the Gaussian solver delegates to the closed
-forms. An optional single Gauss-Newton polish over (u, a) is available
-for empirical measures that approximate a continuous one by sampling.
+forms.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from .errors import (
     DomainError,
     MeanPoint,
     NoDual,
-    NotConverged,
     OutsideSupport,
     ZeroMass,
 )
@@ -93,50 +91,14 @@ def _mean_result(mu, x: np.ndarray) -> RepresentationResult:
     )
 
 
-def _barycenter_gap(mu, u_raw: np.ndarray, a: float, x: np.ndarray) -> np.ndarray:
-    norm = float(np.linalg.norm(u_raw))
-    if norm == 0.0:
-        raise ZeroMass("degenerate direction during refinement")
-    return mu.halfspace_barycenter(HalfSpace(Direction(u_raw / norm), a)) - x
-
-
-def _refine(mu, x: np.ndarray, hs: HalfSpace, residual: float):
-    """One Gauss-Newton step on (u, a); returns (halfspace, residual, accepted)."""
-    d = mu.dim
-    u0 = np.array(hs.direction.vec)
-    a0 = hs.offset
-    step = DEFAULT_TOLS.refine_step
-    try:
-        gap0 = _barycenter_gap(mu, u0, a0, x)
-        jac = np.empty((d, d + 1))
-        for j in range(d):
-            probe = np.array(u0)
-            probe[j] += step
-            jac[:, j] = (_barycenter_gap(mu, probe, a0, x) - gap0) / step
-        jac[:, d] = (_barycenter_gap(mu, u0, a0 + step, x) - gap0) / step
-        delta = np.linalg.lstsq(jac, -gap0, rcond=None)[0]
-        u1 = u0 + delta[:d]
-        a1 = a0 + float(delta[d])
-        gap1 = _barycenter_gap(mu, u1, a1, x)
-    except (ZeroMass, np.linalg.LinAlgError):
-        return hs, residual, False
-    res1 = float(np.linalg.norm(gap1))
-    if not math.isfinite(res1) or res1 >= residual:
-        return hs, residual, False
-    norm = float(np.linalg.norm(u1))
-    return HalfSpace(Direction(u1 / norm), a1), res1, True
-
-
-def represent(mu, point, refine: bool = False, residual_tol: float | None = None) -> RepresentationResult:
+def represent(mu, point) -> RepresentationResult:
     """Half-space whose barycenter is ``point``, with honesty flags.
 
     Gaussian measures use the exact closed form. Empirical measures take
     the depth LP dual direction and the upper quantile offset; the
-    reported residual is the gap between the strict half-space
+    reported residual is the gap between the closed half-space
     barycenter and the point, which is genuinely nonzero when a marginal
-    atom must be split, and ``unique`` is false in that case. With
-    ``refine`` a single Gauss-Newton step polishes (u, a); pass
-    ``residual_tol`` to turn a still-large residual into NotConverged.
+    atom must be split, and ``unique`` is false in that case.
     """
     x = as_vector(point, dim=mu.dim, name="point")
     if isinstance(mu, GaussianMeasure):
@@ -167,17 +129,8 @@ def represent(mu, point, refine: bool = False, residual_tol: float | None = None
         np.any((inclusion > _FRACTION_TOL) & (inclusion < 1.0 - _FRACTION_TOL))
     )
     unique = not (fractional or cert.dual_degenerate)
-    method = "lp-dual"
-    if refine:
-        hs, residual, accepted = _refine(mu, x, hs, residual)
-        if accepted:
-            method = "refined"
-    if residual_tol is not None and residual > residual_tol:
-        raise NotConverged(
-            f"representation residual {residual:.3g} exceeds tolerance {residual_tol:.3g}"
-        )
     return RepresentationResult(
-        halfspace=hs, alpha=alpha, residual=residual, unique=unique, method=method
+        halfspace=hs, alpha=alpha, residual=residual, unique=unique, method="lp-dual"
     )
 
 

@@ -109,7 +109,6 @@ class RunConfig:
     workers: int = 1
     fmt: str = "json"
     out: str | None = None
-    residual_tol: float | None = None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -239,7 +238,7 @@ def cmd_barycenter(cfg: RunConfig, args) -> int:
 def cmd_represent(cfg: RunConfig, args) -> int:
     mu = cfg.measure
     x = _parse_vector(args.point, "--point")
-    result = represent(mu, x, refine=args.refine, residual_tol=cfg.residual_tol)
+    result = represent(mu, x)
     _emit_dict(cfg, result.to_json_dict())
     return 0
 
@@ -357,8 +356,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("represent", parents=[src, run], help="half-space representation")
     p.add_argument("--point", required=True)
-    p.add_argument("--refine", action="store_true", help="one Gauss-Newton polish step")
-    p.add_argument("--residual-tol", type=float, dest="residual_tol")
 
     p = sub.add_parser("coords", parents=[src, run], help="barycentric coordinate forms")
     p.add_argument("--point")
@@ -409,6 +406,9 @@ def main(argv=None) -> int:
         samples = int(getattr(args, "samples", 1_000_000))
         if samples < 1:
             raise InputFormatError(f"--samples {samples} must be at least 1")
+        workers = int(getattr(args, "workers", 1))
+        if workers < 1:
+            raise InputFormatError(f"--workers {workers} must be at least 1")
         log.debug("command: %s", args.command)
         measure_path = getattr(args, "measure", None)
         gaussian_path = getattr(args, "gaussian", None)
@@ -420,10 +420,9 @@ def main(argv=None) -> int:
             measure=measure,
             seed=seed,
             samples=samples,
-            workers=max(1, int(getattr(args, "workers", 1))),
+            workers=workers,
             fmt=getattr(args, "format", "json"),
             out=getattr(args, "out", None),
-            residual_tol=getattr(args, "residual_tol", None),
         )
         start = time.perf_counter()
         code = _COMMANDS[args.command](cfg, args)

@@ -30,8 +30,6 @@ class Tolerances:
     mean_radius: float = 1e-10
     # depth values below this floor are reported as outside the support
     alpha_floor: float = 1e-6
-    # finite-difference step for the Gauss-Newton refinement pass
-    refine_step: float = 1e-5
 
 
 DEFAULT_TOLS = Tolerances()

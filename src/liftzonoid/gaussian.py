@@ -24,11 +24,11 @@ from .normal import g_inverse, normal_cdf
 class RepresentationResult:
     """A half-space whose barycenter is the query point.
 
-    ``alpha`` is the mass of the half-space (equal to the depth of the
-    point), ``residual`` the norm of the gap between the half-space
-    barycenter and the query, ``unique`` false when ties or dual
-    degeneracy make other half-spaces equally valid, ``method`` one of
-    "closed-form", "lp-dual", "refined".
+    ``alpha`` is the depth of the point; the closed half-space's mass
+    exceeds it when marginal atoms are split. ``residual`` is the norm of
+    the gap between the closed half-space's barycenter and the query,
+    ``unique`` false when ties or dual degeneracy make other half-spaces
+    equally valid, ``method`` either "closed-form" or "lp-dual".
     """
 
     halfspace: HalfSpace

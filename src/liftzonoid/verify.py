@@ -261,6 +261,8 @@ def run_suite(
     samples: int = 1_000_000,
     workers: int = 1,
 ) -> dict:
+    if name in ("gaussian", "oracle") and measure is not None:
+        raise InputFormatError(f"the {name} suite runs on built-in data and takes no measure")
     if name == "theorem1":
         return suite_theorem1(measure=measure, seed=seed, workers=workers)
     if name == "gaussian":

@@ -174,8 +174,9 @@ def zonotope_polygon_2d(mu: EmpiricalMeasure) -> Polygon2D:
 def hausdorff_support_distance(mu, alpha: float, beta: float, n_directions: int, seed: int = 0) -> float:
     """Max support gap between two trimmed regions over a direction grid.
 
-    Upper-bounds depend on the grid resolution; with enough directions
-    this approximates the Hausdorff distance between the convex bodies.
+    A maximum over finitely many directions is a lower bound on the
+    Hausdorff distance between the convex bodies; it approaches that
+    distance as the grid fills the sphere.
     """
     alpha = _check_alpha(alpha)
     beta = _check_alpha(beta)

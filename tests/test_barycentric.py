@@ -19,7 +19,6 @@ from liftzonoid import (
     HalfSpace,
     MeanPoint,
     NoSolution,
-    NotConverged,
     OutsideSupport,
     TrimmedRegionQuery,
     convert_coords,
@@ -91,20 +90,6 @@ class TestEmpiricalRepresent:
         assert res.residual < 0.2
         b = mu.halfspace_barycenter(res.halfspace)
         np.testing.assert_allclose(b, x, atol=res.residual + 1e-12)
-
-    def test_refine_never_hurts(self, cloud):
-        mu = cloud(6, n=400, d=2, weighted=False)
-        x = 0.3 * mu.points[7]
-        base = represent(mu, x)
-        tuned = represent(mu, x, refine=True)
-        assert tuned.residual <= base.residual + 1e-15
-        assert tuned.method in ("lp-dual", "refined")
-
-    def test_residual_tol_enforced(self, two_atom):
-        with pytest.raises(NotConverged):
-            represent(two_atom, [0.5], residual_tol=1e-6)
-        res = represent(two_atom, [0.5], residual_tol=0.75)
-        assert res.residual <= 0.75
 
 
 class TestGaussianRepresentDispatch:

@@ -92,10 +92,13 @@ class TestDepthCommand:
         assert "row 2" in err
 
 
-    def test_singular_basis_on_a_near_flat_cloud_exits_2(self, capsys, tmp_path):
+    @pytest.mark.parametrize("command", [["depth"], ["represent"], ["coords", "--to=depth"]],
+                             ids=["depth", "represent", "coords"])
+    def test_singular_basis_on_a_near_flat_cloud_exits_2(self, capsys, tmp_path, command):
         # the 248th cloud of a near-flat fuzz (n = 9, d = 5, thickness 4.6e-8):
         # the depth LP at the midpoint of its first two atoms meets a basis
-        # that is singular to working precision
+        # that is singular to working precision; every command that runs
+        # the LP reports it as a domain condition
         rng = np.random.default_rng(7)
         for _ in range(248):
             d = int(rng.integers(2, 6))
@@ -109,7 +112,7 @@ class TestDepthCommand:
         p = tmp_path / "flat.csv"
         p.write_text("".join(",".join(map(repr, row)) + "\n" for row in pts.tolist()))
         point = ",".join(map(repr, (0.5 * (pts[0] + pts[1])).tolist()))
-        code, out, err = run_cli(capsys, "depth", "--measure", str(p), f"--point={point}")
+        code, out, err = run_cli(capsys, *command, "--measure", str(p), f"--point={point}")
         assert code == 2 and out == ""
         assert err.startswith("domain condition: ") and len(err.splitlines()) == 1
         assert "Traceback" not in err
@@ -258,11 +261,13 @@ class TestRepresentCommand:
         assert code == 2
         assert err
 
-    def test_residual_tol_exit_2(self, capsys, two_atom_csv):
-        code, _, err = run_cli(capsys, "represent", "--measure", two_atom_csv,
-                               "--point", "0.5", "--residual-tol", "1e-9")
-        assert code == 2
-        assert err
+    @pytest.mark.parametrize("flags", [["--refine"], ["--residual-tol", "1e-9"]])
+    def test_removed_flags_exit_1(self, capsys, two_atom_csv, flags):
+        code, out, err = run_cli(capsys, "represent", "--measure", two_atom_csv,
+                                 "--point", "0.5", *flags)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "Traceback" not in err
 
 
 class TestCoordsCommand:
@@ -399,6 +404,27 @@ class TestVerifyCommand:
         assert code == 0
         prop = {p["name"]: p for p in json.loads(out)["properties"]}["mc-barycenter-within-4-sigma"]
         assert prop["passed"] is True and prop["kept"] >= 100
+
+    @pytest.mark.parametrize("workers", ["0", "-4"])
+    def test_nonpositive_workers_exit_1(self, capsys, workers, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was started")
+
+        monkeypatch.setattr("liftzonoid.verify.ThreadPoolExecutor", no_pool)
+        code, out, err = run_cli(capsys, "verify", "--suite", "oracle",
+                                 "--workers", workers)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "--workers" in err
+
+    @pytest.mark.parametrize("suite", ["gaussian", "oracle"])
+    def test_suite_on_built_in_data_rejects_a_measure(self, capsys, square_csv, suite):
+        code, out, err = run_cli(capsys, "verify", "--suite", suite,
+                                 "--measure", square_csv, "--samples", "1000")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert suite in err
 
     def test_unknown_suite_exit_1(self, capsys):
         code, _, _ = run_cli(capsys, "verify", "--suite", "wat")

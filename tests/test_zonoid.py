@@ -238,16 +238,14 @@ class TestHausdorffSupportDistance:
         assert d1 == pytest.approx(d2, rel=1e-14)
 
     def test_bounded_by_single_direction_gap(self, cloud):
+        # a finite grid gives a lower bound: in 2-D the first 64 golden-angle
+        # directions of a seed are among its first 4096, so the coarse
+        # maximum cannot exceed the fine one
         mu = cloud(7, n=20)
         alpha, beta = 0.3, 0.5
-        d = hausdorff_support_distance(mu, alpha, beta, 64, seed=3)
-        u = Direction([1.0, 0.0])
-        gap = abs(
-            support_trimmed(mu, TrimmedRegionQuery(alpha, u))
-            - support_trimmed(mu, TrimmedRegionQuery(beta, u))
-        )
-        assert d >= gap - 1e-9 or d >= 0.0
-        assert d > 0.0
+        coarse = hausdorff_support_distance(mu, alpha, beta, 64, seed=3)
+        fine = hausdorff_support_distance(mu, alpha, beta, 4096, seed=3)
+        assert 0.0 < coarse <= fine
 
     def test_gaussian_matches_radius_gap(self, std2):
         # trimmed regions are concentric balls; the sup over directions is
