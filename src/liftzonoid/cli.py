@@ -47,7 +47,6 @@ from .errors import (
     NoSolution,
     NotConverged,
     OutsideSupport,
-    TooLarge,
     ZeroMass,
 )
 from .gaussian import gaussian_depth
@@ -81,7 +80,6 @@ _INPUT_ERRORS = (
     DimensionMismatch,
     NonFinite,
     DegenerateMeasure,
-    TooLarge,
     FileNotFoundError,
     IsADirectoryError,
 )

@@ -14,9 +14,11 @@ certificate packs gamma into a bit mask plus the fractional entries. The
 simplex multipliers y on the balance rows give the supporting direction
 of the trimmed region at x: u = -y/||y||.
 
-A brute-force oracle (bisection over alpha with grid support checks and
-exact membership feasibility solved by an unrelated LP backend) is kept
-deliberately independent of the simplex path for cross-validation.
+A reference oracle, kept deliberately independent of the simplex path
+for cross-validation, solves the definition of the trimmed region
+directly: max alpha over loadings 0 <= delta_i <= w_i with
+sum_i delta_i x_i = alpha x and sum_i delta_i = alpha, one exact LP in
+(delta, alpha) handed to the HiGHS backend.
 """
 
 from __future__ import annotations
@@ -27,13 +29,9 @@ from enum import Enum
 import numpy as np
 
 from .config import DEFAULT_TOLS
-from .errors import DegenerateMeasure, NoDual, NonFinite, NotConverged, TooLarge
+from .errors import DegenerateMeasure, NoDual, NotConverged
 from .measures import Direction, EmpiricalMeasure, as_vector
-from .sampling import direction_grid
 from .simplex import solve_bounded_lp
-
-_ORACLE_MAX_ATOMS = 12
-_ORACLE_MAX_DIM = 3
 
 
 class DepthStatus(str, Enum):
@@ -187,90 +185,38 @@ def depth_dual_direction(certificate: DepthCertificate) -> Direction:
     return certificate.dual_direction
 
 
-def _grid_tail_tables(proj: np.ndarray, w: np.ndarray):
-    """Per-direction descending projections with cumulative masses and sums."""
-    order = np.argsort(-proj, axis=1, kind="stable")
-    v_sorted = np.take_along_axis(proj, order, axis=1)
-    w_sorted = w[order]
-    cum_w = np.cumsum(w_sorted, axis=1)
-    cum_vw = np.cumsum(v_sorted * w_sorted, axis=1)
-    return v_sorted, cum_w, cum_vw
+def depth_bruteforce_oracle(mu: EmpiricalMeasure, point) -> float:
+    """Depth as one exact LP over the definition of the trimmed region.
 
+    D_alpha is the set of barycenters (1/alpha) sum_i delta_i x_i of
+    loadings 0 <= delta_i <= w_i of mass alpha, so the depth of x is
 
-def _grid_supports(tables, alpha: float) -> np.ndarray:
-    """h(D_alpha, u) for every grid direction, via the tail tables."""
-    v_sorted, cum_w, cum_vw = tables
-    k = np.argmax(cum_w >= alpha - 1e-12, axis=1)
-    rows = np.arange(v_sorted.shape[0])
-    below = np.where(k > 0, cum_vw[rows, np.maximum(k - 1, 0)], 0.0)
-    mass_below = np.where(k > 0, cum_w[rows, np.maximum(k - 1, 0)], 0.0)
-    residual = alpha - mass_below
-    return (below + residual * v_sorted[rows, k]) / alpha
+        max alpha  s.t.  sum_i delta_i x_i - alpha x = 0,
+                         sum_i delta_i - alpha = 0,
+                         0 <= delta_i <= w_i,  0 <= alpha <= 1,
 
-
-def depth_bruteforce_oracle(mu: EmpiricalMeasure, point, grid: int) -> float:
-    """Depth by bisection over alpha, independent of the simplex path.
-
-    Membership of x in the alpha-trimmed region is tested first against a
-    quasi-uniform direction grid (a support-function violation proves
-    non-membership) and then exactly as a feasibility LP handed to the
-    HiGHS backend. Restricted to small instances.
+    linear in (delta, alpha) together and always feasible at zero. It is
+    handed to HiGHS, independent of the in-package simplex path, and has
+    no span check, so it also answers on flat clouds.
     """
     import scipy.optimize  # the oracle's HiGHS backend; kept off the start-up path
 
     if not isinstance(mu, EmpiricalMeasure):
         raise TypeError("depth_bruteforce_oracle expects an empirical measure")
-    if mu.size > _ORACLE_MAX_ATOMS or mu.dim > _ORACLE_MAX_DIM:
-        raise TooLarge(
-            f"oracle accepts at most {_ORACLE_MAX_ATOMS} atoms in dimension <= {_ORACLE_MAX_DIM}"
-        )
     x = as_vector(point, dim=mu.dim, name="point")
-    if not np.all(np.isfinite(x)):
-        raise NonFinite("query point contains non-finite entries")
-    pts, w = mu.points, mu.weights
     n = mu.size
-    scale = 1.0 + float(np.abs(pts).max())
-
-    grid_dirs = direction_grid(mu.dim, max(int(grid), 1), seed=0)
-    proj = grid_dirs @ pts.T  # (k, n)
-    tables = _grid_tail_tables(proj, w)
-    x_proj = grid_dirs @ x
-
-    a_eq = np.vstack([pts.T, np.ones(n)])
-
-    def member(alpha: float) -> bool:
-        supports = _grid_supports(tables, alpha)
-        if np.min(supports - x_proj) < -1e-12 * scale:
-            return False
-        b_eq = np.concatenate([alpha * x, [alpha]])
-        lp = scipy.optimize.linprog(
-            c=np.zeros(n),
-            A_eq=a_eq,
-            b_eq=b_eq,
-            bounds=[(0.0, float(wi)) for wi in w],
-            method="highs",
-            options={"primal_feasibility_tolerance": 1e-9},
-        )
-        return lp.status == 0
-
-    # outside the convex hull entirely?
-    hull = scipy.optimize.linprog(
-        c=np.zeros(n),
+    a_eq = np.block([[mu.points.T, -x[:, None]], [np.ones((1, n)), -np.ones((1, 1))]])
+    c = np.zeros(n + 1)
+    c[-1] = -1.0
+    bounds = np.column_stack([np.zeros(n + 1), np.append(mu.weights, 1.0)])
+    lp = scipy.optimize.linprog(
+        c=c,
         A_eq=a_eq,
-        b_eq=np.concatenate([x, [1.0]]),
-        bounds=[(0.0, 1.0)] * n,
+        b_eq=np.zeros(mu.dim + 1),
+        bounds=bounds,
         method="highs",
         options={"primal_feasibility_tolerance": 1e-9},
     )
-    if hull.status != 0:
-        return 0.0
-    lo, hi = 0.0, 1.0
-    if member(1.0):
-        return 1.0
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        if member(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    if lp.status != 0:
+        raise NotConverged(f"oracle LP ended with HiGHS status {lp.status}: {lp.message}")
+    return min(1.0, max(0.0, float(lp.x[-1])))

@@ -1,9 +1,9 @@
 """Exception types raised by the toolkit.
 
 The CLI maps these onto exit codes: malformed or precondition-violating
-input (format, dimension, degeneracy, size caps) exits 1; well-posed
-queries whose answer does not exist (outside support, zero mass, mean
-point, no solution) exit 2.
+input (format, dimension, degeneracy) exits 1; well-posed queries whose
+answer does not exist (outside support, zero mass, mean point, no
+solution) exit 2.
 """
 
 from __future__ import annotations
@@ -59,7 +59,3 @@ class NoSolution(LiftZonoidError):
 
 class NotConverged(LiftZonoidError):
     """Iterative routine failed to reach its tolerance."""
-
-
-class TooLarge(LiftZonoidError):
-    """Instance exceeds the size bounds of a brute-force routine."""

@@ -51,8 +51,7 @@ class RepresentationResult:
 def _whitened(mu: GaussianMeasure, point) -> np.ndarray:
     if not isinstance(mu, GaussianMeasure):
         raise TypeError("expected a Gaussian measure")
-    x = as_vector(point, dim=mu.dim, name="point")
-    return mu.whiten(x)
+    return mu.whiten(point)
 
 
 def gaussian_depth(mu: GaussianMeasure, point) -> float:
@@ -70,7 +69,7 @@ def gaussian_depth(mu: GaussianMeasure, point) -> float:
 def gaussian_represent(mu: GaussianMeasure, point) -> RepresentationResult:
     """Half-space H with barycenter equal to ``point``, unique for Gaussians."""
     x = as_vector(point, dim=mu.dim, name="point")
-    xw = _whitened(mu, point)
+    xw = _whitened(mu, x)
     rho = float(np.linalg.norm(xw))
     if rho <= DEFAULT_TOLS.mean_radius:
         return RepresentationResult(
@@ -92,7 +91,7 @@ def gaussian_represent(mu: GaussianMeasure, point) -> RepresentationResult:
     bary = mu.halfspace_barycenter(hs)
     return RepresentationResult(
         halfspace=hs,
-        alpha=gaussian_depth(mu, point),
+        alpha=normal_cdf(-a_w),  # gaussian_depth's Phi(G^-1(rho)), from the same G^-1
         residual=float(np.linalg.norm(bary - x)),
         unique=True,
         method="closed-form",

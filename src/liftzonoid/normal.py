@@ -67,6 +67,7 @@ _ACKLAM_SPLIT = 0.02425
 _ERFCX_SWITCH = 25.0
 _ERFCX_TERMS = 12
 _DEKKER_SPLIT = 134217729.0  # 2**27 + 1: splits a double into two 26-bit halves
+_G_INVERSE_MAX_ITERATIONS = 120  # safeguarded Newton steps in g_inverse
 
 
 def normal_pdf(u: float) -> float:
@@ -201,7 +202,7 @@ def _g_ratio_derivative(u: float, g: float) -> float:
     return -u * g - g * g
 
 
-def g_inverse(y: float, *, max_iterations: int = 120) -> float:
+def g_inverse(y: float) -> float:
     """Inverse of :func:`g_ratio`: the u with pdf(u)/cdf(u) = y, y > 0.
 
     Safeguarded Newton iteration (derivative G' = -uG - G^2) inside a
@@ -231,7 +232,7 @@ def g_inverse(y: float, *, max_iterations: int = 120) -> float:
         hi += width
         width *= 2.0
     u = min(max(u, lo), hi)
-    for _ in range(max_iterations):
+    for _ in range(_G_INVERSE_MAX_ITERATIONS):
         g = g_ratio(u)
         f = g - y
         if f > 0.0:

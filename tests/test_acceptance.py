@@ -118,7 +118,7 @@ def test_criterion_3_depth_lp_vs_oracle():
         lam = float(rng.uniform(0.0, 1.3))
         x = (1 - lam) * mu.mean() + lam * pts[int(rng.integers(n))]
         lp = zonoid_depth(mu, x).depth
-        oracle = depth_bruteforce_oracle(mu, x, grid=60)
+        oracle = depth_bruteforce_oracle(mu, x)
         max_err = max(max_err, abs(lp - oracle))
     ok = ok and max_err <= 1e-6
     _report(3, "depth-lp-vs-oracle", ok,

@@ -19,7 +19,6 @@ from liftzonoid import (
     NoDual,
     NonFinite,
     NotConverged,
-    TooLarge,
     TrimmedRegionQuery,
     depth_bruteforce_oracle,
     depth_dual_direction,
@@ -53,7 +52,7 @@ class TestWorkedExample:
         assert not cert.dual_degenerate
 
     def test_oracle_agrees(self, two_atom):
-        val = depth_bruteforce_oracle(two_atom, [0.5], grid=16)
+        val = depth_bruteforce_oracle(two_atom, [0.5])
         assert val == pytest.approx(2.0 / 3.0, abs=1e-12)
 
 
@@ -212,8 +211,28 @@ class TestOracleAgreement:
         lam = rng.uniform(0.0, 1.4)
         x = (1 - lam) * mu.mean() + lam * pts[int(rng.integers(n))]
         lp = zonoid_depth(mu, x).depth
-        oracle = depth_bruteforce_oracle(mu, x, grid=60)
+        oracle = depth_bruteforce_oracle(mu, x)
         assert lp == pytest.approx(oracle, abs=1e-6)
+
+    @pytest.mark.parametrize("kind, n, d", [
+        ("gaussian", 2000, 5),
+        ("integer-grid", 2000, 2),  # the depth benchmark's tied grid
+        ("weighted", 200, 4),
+    ])
+    def test_realistic_sizes(self, kind, n, d):
+        rng = np.random.default_rng(n + d)
+        if kind == "integer-grid":
+            pts = rng.integers(-6, 7, size=(n, d)).astype(float)
+        else:
+            pts = rng.standard_normal((n, d))
+        w = rng.uniform(0.2, 1.0, n) if kind == "weighted" else np.ones(n)
+        mu = EmpiricalMeasure(pts, w / w.sum())
+        mean = mu.mean()
+        for s, atom in zip((0.3, 0.9, 1.5), pts):
+            x = mean + s * (atom - mean)
+            assert zonoid_depth(mu, x).depth == pytest.approx(
+                depth_bruteforce_oracle(mu, x), abs=1e-9
+            )
 
 
 class TestErrors:
@@ -259,14 +278,6 @@ class TestErrors:
     def test_nonfinite_point(self, square):
         with pytest.raises(NonFinite):
             zonoid_depth(square, [np.nan, 0.0])
-
-    def test_oracle_size_caps(self, cloud):
-        big = cloud(2, n=13, d=2)
-        with pytest.raises(TooLarge):
-            depth_bruteforce_oracle(big, [0.0, 0.0], grid=16)
-        wide = cloud(2, n=8, d=4)
-        with pytest.raises(TooLarge):
-            depth_bruteforce_oracle(wide, np.zeros(4), grid=16)
 
 
 def _cloud_with_smallest_singular_value(seed, n, d, log_ratio, scale):

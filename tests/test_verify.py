@@ -1,9 +1,10 @@
 """Self-check suites: every suite passes and is worker-count invariant."""
 
+import numpy as np
 import pytest
 
 from liftzonoid import GaussianMeasure, InputFormatError
-from liftzonoid.verify import SUITES, run_suite
+from liftzonoid.verify import SUITES, run_suite, suite_oracle
 
 
 @pytest.mark.parametrize("name", SUITES)
@@ -32,6 +33,59 @@ def test_theorem1_accepts_explicit_measure(square):
     report = run_suite("theorem1", measure=square, seed=1)
     assert report["passed"]
     assert report["n_measures"] == 1
+
+
+def _by_name(report):
+    return {p["name"]: p for p in report["properties"]}
+
+
+def test_theorem1_on_a_gaussian_leaves_out_the_atom_property():
+    mu = GaussianMeasure.from_covariance([1.0, -2.0], [[2.0, 0.3], [0.3, 1.0]])
+    report = run_suite("theorem1", measure=mu, seed=1)
+    props = _by_name(report)
+    assert report["passed"]
+    assert "small-alpha-farthest-atom" not in props  # a Gaussian has no atoms
+    assert "centered-reflection" in props
+
+
+def test_theorem1_gaussian_reflection_fails_when_centering_is_broken(monkeypatch):
+    # an affine image that ignores its shift leaves the measure uncentered
+    monkeypatch.setattr(GaussianMeasure, "affine_image", lambda self, matrix, shift=None: self)
+    mu = GaussianMeasure.from_covariance([1.0, -2.0], [[2.0, 0.3], [0.3, 1.0]])
+    report = run_suite("theorem1", measure=mu, seed=1)
+    assert not report["passed"]
+    assert not _by_name(report)["centered-reflection"]["passed"]
+
+
+def test_oracle_suite_reports_checked_instances():
+    prop = _by_name(run_suite("oracle", seed=0))["lp-depth-matches-bruteforce"]
+    assert prop["checked"] == 25
+    assert prop["max_error"] <= 1e-12
+
+
+def test_oracle_suite_with_no_instances_fails():
+    report = suite_oracle(seed=0, n_instances=0)
+    prop = _by_name(report)["lp-depth-matches-bruteforce"]
+    assert prop["checked"] == 0
+    assert not prop["passed"] and not report["passed"]
+
+
+class _MidpointStream:
+    """Draws the middle of every range, so all atoms of a draw coincide."""
+
+    def integers(self, low, high):
+        return (low + high) // 2
+
+    def uniform(self, low, high, size=None):
+        return np.full(size, 0.5 * (low + high))
+
+
+def test_oracle_suite_fails_when_every_draw_is_degenerate(monkeypatch):
+    monkeypatch.setattr("liftzonoid.verify.task_stream", lambda seed, task: _MidpointStream())
+    report = suite_oracle(seed=0, n_instances=6)
+    prop = _by_name(report)["lp-depth-matches-bruteforce"]
+    assert prop["checked"] == 0
+    assert not prop["passed"] and not report["passed"]
 
 
 def test_roundtrip_accepts_gaussian_measure():
