@@ -81,16 +81,6 @@ class BarycentricCoords:
         return {"kind": self.kind.value, "scalar": s, "u": self.direction.vec.tolist()}
 
 
-def _mean_result(mu, x: np.ndarray) -> RepresentationResult:
-    return RepresentationResult(
-        halfspace=HalfSpace.whole_space(mu.dim),
-        alpha=1.0,
-        residual=float(np.linalg.norm(mu.mean() - x)),
-        unique=True,
-        method="closed-form",
-    )
-
-
 def represent(mu, point) -> RepresentationResult:
     """Half-space whose barycenter is ``point``, with honesty flags.
 
@@ -106,7 +96,7 @@ def represent(mu, point) -> RepresentationResult:
     if not isinstance(mu, EmpiricalMeasure):
         raise TypeError(f"unsupported measure type {type(mu).__name__}")
     if float(np.linalg.norm(x - mu.mean())) <= DEFAULT_TOLS.mean_radius:
-        return _mean_result(mu, x)
+        return RepresentationResult.at_mean(mu, x)
     cert = zonoid_depth(mu, x)
     if cert.status is DepthStatus.OUTSIDE or cert.depth < DEFAULT_TOLS.alpha_floor:
         raise OutsideSupport(
@@ -135,12 +125,15 @@ def represent(mu, point) -> RepresentationResult:
 
 
 def coords_from_point(mu, point, kind) -> BarycentricCoords:
-    """Barycentric coordinates of an interior point in the requested form."""
+    """Barycentric coordinates of an interior point in the requested form.
+
+    Raises ``MeanPoint`` where ``represent`` answers with the whole space.
+    """
     kind = CoordKind(kind)
     x = as_vector(point, dim=mu.dim, name="point")
-    if float(np.linalg.norm(x - mu.mean())) <= DEFAULT_TOLS.mean_radius:
-        raise MeanPoint("the mean has no direction; every form degenerates there")
     rep = represent(mu, x)
+    if rep.halfspace.is_whole_space:
+        raise MeanPoint("the mean has no direction; every form degenerates there")
     u = rep.halfspace.direction
     if kind is CoordKind.OFFSET:
         scalar = rep.halfspace.offset

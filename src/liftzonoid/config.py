@@ -26,9 +26,12 @@ class Tolerances:
     lp_feasibility: float = 1e-9
     # a nonbasic reduced cost this close to zero flags dual degeneracy
     dual_degenerate: float = 1e-9
-    # points within this distance of the mean are treated as the mean
+    # points within this distance of the mean (whitened for a Gaussian)
+    # are treated as the mean
     mean_radius: float = 1e-10
-    # depth values below this floor are reported as outside the support
+    # empirical represent (so also coords --point) refuses a depth below
+    # this as outside the support; zonoid_depth and the Gaussian closed
+    # forms still answer there
     alpha_floor: float = 1e-6
 
 

@@ -1,9 +1,9 @@
 """Exception types raised by the toolkit.
 
-The CLI maps these onto exit codes: malformed or precondition-violating
-input (format, dimension, degeneracy) exits 1; well-posed queries whose
-answer does not exist (outside support, zero mass, mean point, no
-solution) exit 2.
+The CLI maps these onto exit codes: a ``DomainCondition``, a well-posed
+query whose answer does not exist (outside support, zero mass, mean
+point, no solution), exits 2; every other package error is malformed or
+precondition-violating input (format, dimension, degeneracy) and exits 1.
 """
 
 from __future__ import annotations
@@ -37,25 +37,29 @@ class DegenerateMeasure(LiftZonoidError):
     """Measure does not span the ambient space (or covariance is singular)."""
 
 
-class ZeroMass(LiftZonoidError):
+class DomainCondition(LiftZonoidError):
+    """A well-posed query whose answer does not exist."""
+
+
+class ZeroMass(DomainCondition):
     """Half-space carries no mass, so its barycenter is undefined."""
 
 
-class OutsideSupport(LiftZonoidError):
+class OutsideSupport(DomainCondition):
     """Point lies outside the support (or below the depth floor)."""
 
 
-class MeanPoint(LiftZonoidError):
+class MeanPoint(DomainCondition):
     """Coordinates are undefined at the mean itself."""
 
 
-class NoDual(LiftZonoidError):
+class NoDual(DomainCondition):
     """No dual direction exists (mean point or outside point)."""
 
 
-class NoSolution(LiftZonoidError):
+class NoSolution(DomainCondition):
     """Inverse problem has no solution in the admissible range."""
 
 
-class NotConverged(LiftZonoidError):
+class NotConverged(DomainCondition):
     """Iterative routine failed to reach its tolerance."""

@@ -47,6 +47,17 @@ class RepresentationResult:
             "method": self.method,
         }
 
+    @classmethod
+    def at_mean(cls, mu, x: np.ndarray) -> RepresentationResult:
+        """The whole space, whose barycenter is the mean: the answer at the mean ``x``."""
+        return cls(
+            halfspace=HalfSpace.whole_space(mu.dim),
+            alpha=1.0,
+            residual=float(np.linalg.norm(mu.mean() - x)),
+            unique=True,
+            method="closed-form",
+        )
+
 
 def _whitened(mu: GaussianMeasure, point) -> np.ndarray:
     if not isinstance(mu, GaussianMeasure):
@@ -72,13 +83,7 @@ def gaussian_represent(mu: GaussianMeasure, point) -> RepresentationResult:
     xw = _whitened(mu, x)
     rho = float(np.linalg.norm(xw))
     if rho <= DEFAULT_TOLS.mean_radius:
-        return RepresentationResult(
-            halfspace=HalfSpace.whole_space(mu.dim),
-            alpha=1.0,
-            residual=float(np.linalg.norm(mu.location - x)),
-            unique=True,
-            method="closed-form",
-        )
+        return RepresentationResult.at_mean(mu, x)
     u_w = xw / rho
     a_w = -g_inverse(rho)
     # {y_w : <u_w, y_w> >= a_w} in whitened coordinates pulls back through

@@ -27,7 +27,6 @@ from .measures import (
     _check_alpha,
     _freeze,
 )
-from .sampling import direction_grid
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,21 +169,3 @@ def zonotope_polygon_2d(mu: EmpiricalMeasure) -> Polygon2D:
         keep_mask[-1] = False
     return Polygon2D(verts[keep_mask])
 
-
-def hausdorff_support_distance(mu, alpha: float, beta: float, n_directions: int, seed: int = 0) -> float:
-    """Max support gap between two trimmed regions over a direction grid.
-
-    A maximum over finitely many directions is a lower bound on the
-    Hausdorff distance between the convex bodies; it approaches that
-    distance as the grid fills the sphere.
-    """
-    alpha = _check_alpha(alpha)
-    beta = _check_alpha(beta)
-    if n_directions < 1:
-        raise DomainError("n_directions must be >= 1")
-    gap = 0.0
-    for row in direction_grid(mu.dim, n_directions, seed):
-        q_a = TrimmedRegionQuery(alpha, Direction(row))
-        q_b = TrimmedRegionQuery(beta, Direction(row))
-        gap = max(gap, abs(support_trimmed(mu, q_a) - support_trimmed(mu, q_b)))
-    return gap

@@ -119,6 +119,21 @@ class TestCoordsFromPoint:
         with pytest.raises(MeanPoint):
             coords_from_point(square, [0.0, 0.0], CoordKind.OFFSET)
 
+    def test_gaussian_mean_is_the_whitened_mean(self):
+        # factor 1e-11 I: x is 5e-11 from the mean but 5 in whitened units,
+        # a point of depth 7.7e-7 that represent answers
+        tiny = GaussianMeasure(np.zeros(2), 1e-11 * np.eye(2))
+        x = [5e-11, 0.0]
+        c = coords_from_point(tiny, x, CoordKind.DEPTH)
+        assert c.scalar == represent(tiny, x).alpha == gaussian_depth(tiny, x)
+        assert c.scalar == pytest.approx(7.66e-7, rel=1e-3)
+        np.testing.assert_allclose(c.direction.vec, [1.0, 0.0], atol=1e-12)
+        # factor 1e3 I: x is 5e-8 from the mean but 5e-11 in whitened units
+        wide = GaussianMeasure(np.zeros(2), 1e3 * np.eye(2))
+        assert represent(wide, [5e-8, 0.0]).halfspace.is_whole_space
+        with pytest.raises(MeanPoint):
+            coords_from_point(wide, [5e-8, 0.0], CoordKind.OFFSET)
+
     def test_empirical_support_form(self, two_atom):
         c = coords_from_point(two_atom, [0.5], CoordKind.SUPPORT)
         assert c.scalar == pytest.approx(0.5, abs=1e-12)

@@ -337,6 +337,12 @@ class TestGaussianCommand:
         code, _, _ = run_cli(capsys, "gaussian", "tangent", "1.0")
         assert code == 1
 
+    def test_unknown_function_lists_the_choices(self, capsys):
+        code, out, err = run_cli(capsys, "gaussian", "tangent", "1.0")
+        assert code == 1 and out == ""
+        assert err.startswith("error: argument fn: invalid choice: 'tangent'")
+        assert "'ginv'" in err and len(err.splitlines()) == 1
+
     @pytest.mark.parametrize("x", ["-inf", "inf", "0", "nan"])
     @pytest.mark.parametrize("fn", ["pdf", "cdf", "quantile", "isoperimetric",
                                     "radius", "g", "ginv"])
@@ -453,6 +459,28 @@ class TestPlumbing:
         capsys.readouterr()
         assert code == 0
         assert path.read_text() == out
+
+    @pytest.mark.parametrize("where", ["measure", "out"])
+    def test_path_through_a_file_exits_1(self, capsys, square_csv, where):
+        # a path that continues below a regular file raises NotADirectoryError
+        bad = os.path.join(square_csv, "x.csv")
+        measure, out = (bad, None) if where == "measure" else (square_csv, bad)
+        argv = ["depth", "--measure", measure, "--point", "0.2,0.1"]
+        code, stdout, err = run_cli(capsys, *argv, *(["--out", out] if out else []))
+        assert code == 1 and stdout == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "x.csv" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--seed", "18446744073709551616"),
+        ("--seed", "1.5"),
+        ("--samples", "many"),
+        ("--workers", "0"),
+    ])
+    def test_parser_names_the_bad_flag(self, capsys, flag, value):
+        code, out, err = run_cli(capsys, "verify", "--suite", "oracle", flag, value)
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: argument {flag}: ") and len(err.splitlines()) == 1
 
     def test_unknown_command_exit_1(self, capsys):
         code, _, _ = run_cli(capsys, "frobnicate")

@@ -13,7 +13,6 @@ from liftzonoid import (
     LiftDirection,
     TrimmedRegionQuery,
     WrongDimension,
-    hausdorff_support_distance,
     radius,
     support_lift_zonoid,
     support_trimmed,
@@ -224,38 +223,6 @@ class TestZonotopePolygon:
     def test_wrong_dimension(self, cloud):
         with pytest.raises(WrongDimension):
             zonotope_polygon_2d(cloud(1, n=5, d=3))
-
-
-class TestHausdorffSupportDistance:
-    def test_same_alpha_is_zero(self, cloud):
-        mu = cloud(5, n=15)
-        assert hausdorff_support_distance(mu, 0.3, 0.3, 32) == 0.0
-
-    def test_symmetric_in_levels(self, cloud):
-        mu = cloud(5, n=15)
-        d1 = hausdorff_support_distance(mu, 0.2, 0.6, 48)
-        d2 = hausdorff_support_distance(mu, 0.6, 0.2, 48)
-        assert d1 == pytest.approx(d2, rel=1e-14)
-
-    def test_bounded_by_single_direction_gap(self, cloud):
-        # a finite grid gives a lower bound: in 2-D the first 64 golden-angle
-        # directions of a seed are among its first 4096, so the coarse
-        # maximum cannot exceed the fine one
-        mu = cloud(7, n=20)
-        alpha, beta = 0.3, 0.5
-        coarse = hausdorff_support_distance(mu, alpha, beta, 64, seed=3)
-        fine = hausdorff_support_distance(mu, alpha, beta, 4096, seed=3)
-        assert 0.0 < coarse <= fine
-
-    def test_gaussian_matches_radius_gap(self, std2):
-        # trimmed regions are concentric balls; the sup over directions is
-        # exactly the radius difference
-        d = hausdorff_support_distance(std2, 0.2, 0.5, 128)
-        assert d == pytest.approx(radius(0.2) - radius(0.5), rel=1e-10)
-
-    def test_requires_directions(self, std2):
-        with pytest.raises(DomainError):
-            hausdorff_support_distance(std2, 0.3, 0.4, 0)
 
 
 class TestLiftDirectionValidation:
