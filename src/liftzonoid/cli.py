@@ -21,6 +21,7 @@ import json
 import logging
 import math
 import os
+import re
 import sys
 import time
 
@@ -75,6 +76,11 @@ _GAUSS_FNS = {
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a token such as -0.1,0.2 or -inf is a value, not an unknown flag
+        self._negative_number_matcher = re.compile(r"^-(\d|\.\d|inf)")
+
     def error(self, message):  # argparse would exit 2; we reserve 2 for domain
         raise InputFormatError(message)
 
@@ -196,18 +202,22 @@ def cmd_represent(args, mu: Measure) -> int:
 
 def cmd_coords(args, mu: Measure) -> int:
     if args.point is not None:
+        for flag, value in (("--scalar", args.scalar), ("--direction", args.direction),
+                            ("--to-back", args.to_back)):
+            if value is not None:
+                raise InputFormatError(f"argument {flag}: not allowed with argument --point")
         if args.to is None:
             raise InputFormatError("--point requires --to with the target form")
         _emit_dict(args, coords_from_point(mu, args.point, args.to).to_json_dict())
         return 0
-    if args.from_ is None:
-        raise InputFormatError("coords needs either --point --to or --from --scalar --direction")
     if args.scalar is None or args.direction is None:
         raise InputFormatError("--from requires --scalar and --direction")
     coords = BarycentricCoords(
         kind=CoordKind(args.from_), scalar=args.scalar, direction=Direction.of(args.direction)
     )
     if args.to is None:
+        if args.to_back is not None:
+            raise InputFormatError("argument --to-back: requires --to")
         _emit_dict(args, {"point": [float(v) for v in point_from_coords(mu, coords)]})
         return 0
     coords = convert_coords(mu, coords, args.to)
@@ -261,54 +271,59 @@ def build_parser() -> _Parser:
     src.add_argument("--measure", help="CSV file of atoms (optional weight column)")
     src.add_argument("--gaussian", help="JSON file with mean and covariance")
 
-    at_least_one = _int_in(1, math.inf, "must be at least 1")
-    run = _Parser(add_help=False)
-    run.add_argument("--seed", type=_int_in(0, 2**64, "outside the unsigned 64-bit range"),
-                     default=0, help="64-bit unsigned RNG seed")
-    run.add_argument("--samples", type=at_least_one, default=1_000_000)
-    run.add_argument("--workers", type=at_least_one, default=1)
-    run.add_argument("--format", choices=("json", "csv"), default="json")
-    run.add_argument("--out", help="write the payload to this file instead of stdout")
+    out = _Parser(add_help=False)
+    out.add_argument("--out", help="write the payload to this file instead of stdout")
+    fmt = _Parser(add_help=False, parents=[out])
+    fmt.add_argument("--format", choices=("json", "csv"), default="json")
 
-    p = sub.add_parser("depth", parents=[src, run], help="zonoid depth certificate")
+    at_least_one = _int_in(1, math.inf, "must be at least 1")
+    seeded = _Parser(add_help=False)
+    seeded.add_argument("--seed", type=_int_in(0, 2**64, "outside the unsigned 64-bit range"),
+                        default=0, help="64-bit unsigned RNG seed")
+    seeded.add_argument("--workers", type=at_least_one, default=1)
+
+    p = sub.add_parser("depth", parents=[src, fmt], help="zonoid depth certificate")
     p.add_argument("--point", type=_vector, required=True, help="comma-separated coordinates")
 
-    p = sub.add_parser("contour", parents=[src, run], help="trimmed-region boundary sweep")
+    p = sub.add_parser("contour", parents=[src, fmt, seeded], help="trimmed-region boundary sweep")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--directions", type=_int_in(4, math.inf, "must be at least 4"), default=64)
 
-    p = sub.add_parser("support", parents=[src, run], help="support function values")
+    p = sub.add_parser("support", parents=[src, fmt], help="support function values")
     p.add_argument("--direction", type=_vector, required=True)
     level = p.add_mutually_exclusive_group()
     level.add_argument("--alpha", type=float, help="trimmed-region level")
     level.add_argument("--lift-t", type=float, dest="lift_t", help="lift coordinate t")
 
-    p = sub.add_parser("barycenter", parents=[src, run], help="half-space barycenter")
+    p = sub.add_parser("barycenter", parents=[src, fmt], help="half-space barycenter")
     p.add_argument("--direction", type=_vector, required=True)
     p.add_argument("--offset", type=float, required=True,
-                   help="half-space offset (--offset=-inf selects the whole space)")
+                   help="half-space offset (-inf selects the whole space)")
 
-    p = sub.add_parser("represent", parents=[src, run], help="half-space representation")
+    p = sub.add_parser("represent", parents=[src, fmt], help="half-space representation")
     p.add_argument("--point", type=_vector, required=True)
 
     kinds = [k.value for k in CoordKind]
-    p = sub.add_parser("coords", parents=[src, run], help="barycentric coordinate forms")
-    p.add_argument("--point", type=_vector)
+    p = sub.add_parser("coords", parents=[src, fmt], help="barycentric coordinate forms")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--point", type=_vector, help="point mode: reads --to alone")
+    mode.add_argument("--from", dest="from_", choices=kinds,
+                      help="conversion mode: reads --scalar, --direction, --to, --to-back")
     p.add_argument("--to", choices=kinds)
-    p.add_argument("--from", dest="from_", choices=kinds)
     p.add_argument("--scalar", type=float)
     p.add_argument("--direction", type=_vector)
     p.add_argument("--to-back", dest="to_back", choices=kinds)
 
-    p = sub.add_parser("gaussian", parents=[run], help="scalar Gaussian functions")
+    p = sub.add_parser("gaussian", parents=[out], help="scalar Gaussian functions")
     p.add_argument("fn", choices=list(_GAUSS_FNS))
     p.add_argument("x", type=float, help="argument value")
     p.set_defaults(measure=None, gaussian=None)
 
-    sub.add_parser("polygon2d", parents=[src, run], help="zonotope polygon vertices")
+    sub.add_parser("polygon2d", parents=[src, fmt], help="zonotope polygon vertices")
 
-    p = sub.add_parser("verify", parents=[src, run], help="run a verification suite")
+    p = sub.add_parser("verify", parents=[src, out, seeded], help="run a verification suite")
     p.add_argument("--suite", choices=SUITES, required=True)
+    p.add_argument("--samples", type=at_least_one, default=1_000_000)
 
     return parser
 

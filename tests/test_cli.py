@@ -491,8 +491,8 @@ class TestPlumbing:
         assert code == 1
 
     def test_bad_seed_exit_1(self, capsys, square_csv):
-        code, _, _ = run_cli(capsys, "depth", "--measure", square_csv,
-                             "--point", "0,0", "--seed", "-4")
+        code, _, _ = run_cli(capsys, "contour", "--measure", square_csv,
+                             "--alpha", "0.5", "--seed", "-4")
         assert code == 1
 
     def test_log_env_keeps_stdout_clean(self, square_csv, monkeypatch,
@@ -511,6 +511,102 @@ class TestPlumbing:
         assert code == 0
         assert not [r for r in caplog.records
                     if "LIFTZONOID_LOG" in r.getMessage()]
+
+
+
+# the flags each subcommand reads, and a command line it accepts
+_SOURCE = {"--measure", "--gaussian"}
+_OPTIONS = {
+    "depth": _SOURCE | {"--format", "--out", "--point"},
+    "contour": _SOURCE | {"--format", "--out", "--seed", "--workers", "--alpha", "--directions"},
+    "support": _SOURCE | {"--format", "--out", "--direction", "--alpha", "--lift-t"},
+    "barycenter": _SOURCE | {"--format", "--out", "--direction", "--offset"},
+    "represent": _SOURCE | {"--format", "--out", "--point"},
+    "coords": _SOURCE | {"--format", "--out", "--point", "--to", "--from", "--scalar",
+                         "--direction", "--to-back"},
+    "gaussian": {"--out"},
+    "polygon2d": _SOURCE | {"--format", "--out"},
+    "verify": _SOURCE | {"--out", "--seed", "--workers", "--samples", "--suite"},
+}
+_ACCEPTED = {
+    "depth": ["--point", "0,0"],
+    "contour": ["--alpha", "0.5"],
+    "support": ["--direction", "1,0"],
+    "barycenter": ["--direction", "1,0", "--offset", "0"],
+    "represent": ["--point", "0.1,0"],
+    "coords": ["--point", "0.1,0", "--to", "depth"],
+    "polygon2d": [],
+}
+_STRAY = [(cmd, flag) for cmd in ("depth", "support", "barycenter", "represent", "coords", "polygon2d")
+          for flag in ("--seed", "--samples", "--workers")]
+_STRAY += [("contour", "--samples"), ("verify", "--format")]
+_STRAY += [("gaussian", flag) for flag in ("--seed", "--samples", "--workers", "--format")]
+_VALUES = {"--seed": "1", "--samples": "5", "--workers": "1", "--format": "csv"}
+
+
+class TestOptionSurface:
+    def test_each_subcommand_declares_the_flags_it_reads(self):
+        import argparse
+
+        from liftzonoid.cli import build_parser
+
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        declared = {
+            name: {s for a in p._actions if not isinstance(a, argparse._HelpAction) for s in a.option_strings}
+            for name, p in sub.choices.items()
+        }
+        assert declared == _OPTIONS
+        assert sum(map(len, declared.values())) == 53
+
+    @pytest.mark.parametrize("command,flag", _STRAY, ids=[f"{c}{f}" for c, f in _STRAY])
+    def test_flag_the_subcommand_does_not_read_exits_1(self, capsys, square_csv, command, flag):
+        if command == "gaussian":
+            argv = ["gaussian", "pdf", "0"]
+        elif command == "verify":
+            argv = ["verify", "--suite", "theorem1"]
+        else:
+            argv = [command, "--measure", square_csv, *_ACCEPTED[command]]
+        code, out, err = run_cli(capsys, *argv, flag, _VALUES[flag])
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert flag in err
+
+    @pytest.mark.parametrize("extra", [["--from", "support"], ["--scalar", "0.5"],
+                                       ["--direction", "1,0"], ["--to-back", "depth"]],
+                             ids=lambda extra: extra[0])
+    def test_coords_point_mode_reads_only_to(self, capsys, square_csv, extra):
+        code, out, err = run_cli(capsys, "coords", "--measure", square_csv,
+                                 "--point", "0.1,0", "--to", "depth", *extra)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert extra[0] in err
+
+    def test_coords_to_back_needs_to(self, capsys, square_csv):
+        code, out, err = run_cli(capsys, "coords", "--measure", square_csv, "--from", "support",
+                                 "--scalar", "0.5", "--direction", "1,0", "--to-back", "depth")
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "--to-back" in err and len(err.splitlines()) == 1
+
+    def test_negative_vector_is_a_value(self, capsys, square_csv):
+        code, out, _ = run_cli(capsys, "depth", "--measure", square_csv, "--point", "-0.1,0.2")
+        assert code == 0
+        assert out == run_cli(capsys, "depth", "--measure", square_csv, "--point=-0.1,0.2")[1]
+
+    def test_negative_direction_and_minus_inf_offset_are_values(self, capsys, square_csv):
+        code, out, _ = run_cli(capsys, "barycenter", "--measure", square_csv,
+                               "--direction", "-1,0", "--offset", "-inf")
+        assert code == 0
+        assert json.loads(out) == {"barycenter": [0.0, 0.0], "mass": 1.0}
+
+    def test_minus_inf_positional_is_a_value(self, capsys):
+        code, out, _ = run_cli(capsys, "gaussian", "g", "-inf")
+        assert code == 0
+        assert out.strip() == "inf"
+
+    def test_unknown_single_dash_flag_still_exits_1(self, capsys, square_csv):
+        code, out, err = run_cli(capsys, "depth", "--measure", square_csv, "--point", "0,0", "-x")
+        assert code == 1 and out == ""
+        assert err == "error: unrecognized arguments: -x\n"
 
 
 

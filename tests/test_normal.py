@@ -88,6 +88,11 @@ def test_quantile_median_exact():
     assert normal_quantile(0.5) == 0.0
 
 
+def test_quantile_near_the_median_is_relatively_accurate():
+    # the reference is the exact quantile to 20 digits
+    assert normal_quantile(0.4999) == pytest.approx(-2.5066283008800749239e-4, rel=1e-15, abs=0)
+
+
 @given(st.floats(min_value=1e-10, max_value=1.0 - 1e-10))
 @settings(max_examples=200)
 def test_quantile_cdf_roundtrip(p):
