@@ -40,8 +40,6 @@ from .measures import (
 from .normal import normal_cdf, normal_sf
 from .zonoid import TrimmedRegionQuery, support_trimmed, trimmed_boundary_point
 
-_FRACTION_TOL = 1e-9
-
 
 class CoordKind(str, Enum):
     OFFSET = "offset"
@@ -95,7 +93,7 @@ def represent(mu, point) -> RepresentationResult:
         return gaussian_represent(mu, x)
     if not isinstance(mu, EmpiricalMeasure):
         raise TypeError(f"unsupported measure type {type(mu).__name__}")
-    if float(np.linalg.norm(x - mu.mean())) <= DEFAULT_TOLS.mean_radius:
+    if float(np.linalg.norm(x - mu.mean())) <= DEFAULT_TOLS.mean_radius * mu.radius:
         return RepresentationResult.at_mean(mu, x)
     cert = zonoid_depth(mu, x)
     if cert.status is DepthStatus.OUTSIDE or cert.depth < DEFAULT_TOLS.alpha_floor:
@@ -115,9 +113,8 @@ def represent(mu, point) -> RepresentationResult:
     inclusion = loading.value / loading.mass * alpha / mu.weights[loading.index]
     if loading.full.any():
         inclusion = np.append(inclusion, alpha / loading.mass)
-    fractional = bool(
-        np.any((inclusion > _FRACTION_TOL) & (inclusion < 1.0 - _FRACTION_TOL))
-    )
+    tol = DEFAULT_TOLS.degenerate
+    fractional = bool(np.any((inclusion > tol) & (inclusion < 1.0 - tol)))
     unique = not (fractional or cert.dual_degenerate)
     return RepresentationResult(
         halfspace=hs, alpha=alpha, residual=residual, unique=unique, method="lp-dual"

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Thresholds that more than one module, or a caller, must agree on.
+    """Thresholds that more than one function, or a caller, must agree on.
 
     A literal that only one piece of code uses stays next to that code,
     where its meaning is plain; this record holds the shared ones.
@@ -15,24 +15,19 @@ class Tolerances:
 
     # unit-norm check for directions and lift directions
     unit_norm: float = 1e-12
-    # empirical weights must sum to one this tightly after construction
-    weight_sum: float = 1e-12
     # CSV ingestion renormalizes silently below this, with a warning above
     weight_warn: float = 1e-9
-    # affine-span rank cutoff: a singular value of the centered atom matrix
-    # counts when it exceeds this times the largest centered atom norm
-    rank: float = 1e-10
-    # a depth LP optimum at or below this puts the point outside the hull
-    lp_feasibility: float = 1e-9
-    # a nonbasic reduced cost this close to zero flags dual degeneracy
-    dual_degenerate: float = 1e-9
-    # points within this distance of the mean (whitened for a Gaussian)
-    # are treated as the mean
+    # depth and represent treat a point as the mean within this many radii
+    # of an empirical mean (mu.radius; whitened units for a Gaussian)
     mean_radius: float = 1e-10
     # empirical represent (so also coords --point) refuses a depth below
     # this as outside the support; zonoid_depth and the Gaussian closed
     # forms still answer there
     alpha_floor: float = 1e-6
+    # a depth LP reduced cost this close to 0, or a basic loading this close
+    # to a bound, flags the certificate degenerate; that, or an atom's
+    # inclusion fraction this close to 0 or 1, makes represent not unique
+    degenerate: float = 1e-9
 
 
 DEFAULT_TOLS = Tolerances()

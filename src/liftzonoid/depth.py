@@ -114,15 +114,17 @@ def check_affine_span(mu: EmpiricalMeasure) -> None:
         )
 
 
+# a depth LP optimum at or below this mass puts the point outside the hull
+_LP_FEASIBILITY = 1e-9
+
+
 def zonoid_depth(mu: EmpiricalMeasure, point) -> DepthCertificate:
     """Depth of ``point`` in ``mu`` with representation and dual certificate."""
     if not isinstance(mu, EmpiricalMeasure):
         raise TypeError("zonoid_depth expects an empirical measure")
     x = as_vector(point, dim=mu.dim, name="point")
     check_affine_span(mu)
-    mean = mu.mean()
-    scale = 1.0 + float(np.abs(mu.points).max())
-    if float(np.linalg.norm(x - mean)) <= DEFAULT_TOLS.mean_radius:
+    if float(np.linalg.norm(x - mu.mean())) <= DEFAULT_TOLS.mean_radius * mu.radius:
         return DepthCertificate(
             depth=1.0,
             status=DepthStatus.MEAN,
@@ -145,7 +147,7 @@ def zonoid_depth(mu: EmpiricalMeasure, point) -> DepthCertificate:
             "close to a hyperplane"
         )
     alpha = float(res.objective)
-    if alpha <= DEFAULT_TOLS.lp_feasibility:
+    if alpha <= _LP_FEASIBILITY:
         return DepthCertificate(
             depth=0.0,
             status=DepthStatus.OUTSIDE,
@@ -160,11 +162,11 @@ def zonoid_depth(mu: EmpiricalMeasure, point) -> DepthCertificate:
     mass = float(delta.sum())
     y = res.dual
     norm_y = float(np.linalg.norm(y))
-    direction = Direction(-y / norm_y) if norm_y > 1e-14 else None
+    direction = Direction(-y / norm_y) if norm_y * mu.radius > 1e-14 else None  # y is 1/length
     status = DepthStatus.INTERIOR
     if direction is not None:
         proj = mu.points @ direction.vec
-        if float(proj.max()) - float(x @ direction.vec) <= 1e-9 * scale:
+        if float(proj.max()) - float(x @ direction.vec) <= 1e-9 * mu.radius:
             status = DepthStatus.BOUNDARY
     return DepthCertificate(
         depth=alpha,

@@ -218,11 +218,11 @@ class EmpiricalProjection:
         w_i (h - v_i)/P, level 1), O(n) expected, not a sort. Then alpha =
         W_> + sum_{v_i > v_k} w_i (v_i - h) / (h - v_k), clipped to [W_>,
         W_>=], the masses above and at v_k. A level at the farthest
-        projection returns 1e-12, one at the mean returns 1.0; a level more
-        than 1e-9 (relative) outside that range raises NoSolution.
+        projection returns ``_MASS_SLACK``, one at the mean returns 1.0; a
+        level more than 1e-9 (relative) outside that range raises NoSolution.
 
         The split at alpha is the one ``split(alpha)`` returns: v_k is its
-        threshold unless alpha lies within the selection's 1e-12 slack of
+        threshold unless alpha lies within the selection's ``_MASS_SLACK`` of
         W_>, where the threshold may be the next atom up. Only then, and at
         the ends of the range, is the selection run a second time.
         """
@@ -235,7 +235,7 @@ class EmpiricalProjection:
         if mean - h > 1e-9 * scale:
             raise NoSolution("support level lies below the mean projection")
         if h >= top:
-            return self.split(1e-12)
+            return self.split(_MASS_SLACK)
         if h <= mean + 1e-13 * scale:  # the mean, up to the rounding of its sum
             return self.split(1.0)
         gap = proj - h
@@ -245,8 +245,8 @@ class EmpiricalProjection:
             # would overflow: alpha is the mass at or above h, up to P / (h - v_k)
             return self.split(float(w @ (gap >= 0.0)))
         # the deficit weights, 0 at and above h; normalised by P, the kernel's
-        # absolute 1e-12 slack is relative: a neighbouring segment moves alpha
-        # by at most 1e-12, as P/(h - v_k) <= alpha
+        # absolute mass slack is relative: a neighbouring segment moves alpha
+        # by at most that slack, as P/(h - v_k) <= alpha
         deficit = np.minimum(gap, 0.0)
         deficit /= -excess
         deficit *= w
@@ -258,7 +258,7 @@ class EmpiricalProjection:
         alpha = mass_gt + float(w_gt @ gap) / (h - vk)
         alpha = min(max(alpha, mass_gt), mass_gt + mass_tie, 1.0)
         # the slack, plus the rounding of the kernel's mass sums
-        if alpha - mass_gt <= 2e-12:
+        if alpha - mass_gt <= 2.0 * _MASS_SLACK:
             return self.split(alpha)
         return TailSplit(alpha, vk, full, tie, min(alpha - mass_gt, mass_tie))
 
@@ -322,6 +322,7 @@ class GaussianProjection:
         return alpha
 
 
+_MASS_SLACK = 1e-12  # the tail kernel's slack: mass-sum rounding never moves a threshold down
 # candidate sets this small are finished by a stable sort and a cumsum;
 # larger ones are sampled at this many evenly strided positions
 _SELECT_BASE = 256
@@ -338,11 +339,11 @@ def upper_mass_split(values: np.ndarray, weights: np.ndarray, alpha: float):
     above ``threshold`` are fully included and carry mass at most alpha;
     atoms at the threshold share the residual mass ``alpha - mass(full)``.
     ``threshold`` is always one of the atom values (the upper quantile):
-    the largest one whose closed upper mass reaches ``alpha - 1e-12``, or
-    the smallest one when none does. Weights must be nonnegative. An atom
+    the largest one whose closed upper mass reaches ``alpha - _MASS_SLACK``,
+    or the smallest one when none does. Weights must be nonnegative. An atom
     of zero weight adds no mass, so the support inversion can pass every
     atom and weight those at or above its level by zero. For alpha above
-    the 1e-12 slack such an atom is never the threshold, unless no atom
+    ``_MASS_SLACK`` such an atom is never the threshold, unless no atom
     reaches the level at all.
 
     The threshold comes from a weighted selection, not a full sort, with
@@ -363,7 +364,7 @@ def upper_mass_split(values: np.ndarray, weights: np.ndarray, alpha: float):
     round, O(log n) rounds and O(n) work for any weights and any order.
     At most ``_SELECT_BASE`` candidates are left to a stable sort.
     """
-    target = alpha - 1e-12
+    target = alpha - _MASS_SLACK
     cv, cw = values, weights
     above = 0.0  # mass of the atoms above every candidate
     mass = float(cw.sum())  # mass of the candidates
@@ -432,6 +433,12 @@ def _check_alpha(alpha: float) -> float:
     return alpha
 
 
+# empirical weights must sum to one this tightly after construction
+_WEIGHT_SUM = 1e-12
+# affine-span rank cutoff: a singular value of the centered atoms counts above this times the radius
+_RANK = 1e-10
+
+
 @dataclass(frozen=True, eq=False)
 class EmpiricalMeasure:
     """Finite measure sum(w_i * delta_{x_i}) with positive weights summing to 1."""
@@ -453,8 +460,8 @@ class EmpiricalMeasure:
         if np.any(w <= 0.0):
             raise DomainError("weights must be strictly positive")
         total = float(w.sum())
-        if abs(total - 1.0) > DEFAULT_TOLS.weight_sum:
-            raise DomainError(f"weights sum to {total!r}, not 1 within {DEFAULT_TOLS.weight_sum}")
+        if abs(total - 1.0) > _WEIGHT_SUM:
+            raise DomainError(f"weights sum to {total!r}, not 1 within {_WEIGHT_SUM}")
         object.__setattr__(self, "points", _freeze(pts))
         object.__setattr__(self, "weights", _freeze(w))
 
@@ -481,20 +488,24 @@ class EmpiricalMeasure:
         return self._mean
 
     @cached_property
+    def radius(self) -> float:
+        """Largest distance of an atom from the mean: the cloud's length scale."""
+        return float(np.linalg.norm(self.points - self.mean(), axis=1).max())
+
+    @cached_property
     def affine_rank(self) -> int:
         """Dimension of the atoms' affine span; 0 when all atoms coincide.
 
         Counts the singular values of the centered atoms above the rank
-        tolerance times the largest centered atom norm.
+        tolerance times the radius.
         """
         # compared exactly: the mean of coincident atoms may round away from them
         if np.all(self.points == self.points[0]):
             return 0
         centered = self.points - self.mean()  # (n, d)
-        top = float(np.linalg.norm(centered, axis=1).max())
         # the small triangular factor has the singular values of the whole matrix
         sv = np.linalg.svd(np.linalg.qr(centered, mode="r"), compute_uv=False)
-        return int(np.sum(sv > DEFAULT_TOLS.rank * top))
+        return int(np.sum(sv > _RANK * self.radius))
 
     def project(self, vec) -> EmpiricalProjection:
         """Law of <X, vec> for any spatial vector: values in atom order."""
@@ -562,7 +573,7 @@ class GaussianMeasure:
         if not np.all(np.isfinite(a)):
             raise NonFinite("factor contains non-finite entries")
         sv = np.linalg.svd(a, compute_uv=False)
-        if sv[-1] <= 1e-12 * max(sv[0], 1.0):
+        if sv[-1] <= 1e-12 * sv[0]:
             raise DegenerateMeasure("covariance factor is numerically singular")
         object.__setattr__(self, "location", _freeze(m))
         object.__setattr__(self, "factor", _freeze(a))

@@ -34,7 +34,7 @@ def direction_grid(dim: int, count: int, seed: int = 0) -> np.ndarray:
     dim 1 alternates +1/-1; dim 2 uses golden-angle spacing sorted by
     angle (so consecutive rows sweep the circle); dim 3 uses a Fibonacci
     sphere; higher dimensions fall back to normalized Gaussian draws from
-    the (seed, dim)-keyed stream.
+    the (seed, dim)-keyed stream (a row shorter than 1e-8 has chance < 1e-32).
     """
     if dim < 1:
         raise DomainError(f"direction_grid: dim={dim} must be >= 1")
@@ -58,9 +58,4 @@ def direction_grid(dim: int, count: int, seed: int = 0) -> np.ndarray:
         return u / np.linalg.norm(u, axis=1, keepdims=True)
     rng = task_stream(seed, dim)
     u = rng.standard_normal((count, dim))
-    norms = np.linalg.norm(u, axis=1)
-    while np.any(norms < 1e-8):  # astronomically unlikely; keep deterministic
-        bad = norms < 1e-8
-        u[bad] = rng.standard_normal((int(bad.sum()), dim))
-        norms = np.linalg.norm(u, axis=1)
-    return u / norms[:, None]
+    return u / np.linalg.norm(u, axis=1, keepdims=True)

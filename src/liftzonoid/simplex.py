@@ -161,9 +161,9 @@ def solve_bounded_lp(
 
     free = nonbasic & movable
     free[n:] = False  # degeneracy is judged over real columns only
-    dual_degenerate = bool(np.any(np.abs(rc[free]) <= DEFAULT_TOLS.dual_degenerate))
+    dual_degenerate = bool(np.any(np.abs(rc[free]) <= DEFAULT_TOLS.degenerate))
     xb, lb, ub = x[basis], lo[basis], hi[basis]
-    on_bound = np.minimum(np.abs(xb - lb), np.abs(xb - ub)) <= 1e-9 * (1.0 + np.abs(xb))
+    on_bound = np.minimum(np.abs(xb - lb), np.abs(xb - ub)) <= DEFAULT_TOLS.degenerate * (1.0 + np.abs(xb))
     degenerate_basis = bool(np.any(on_bound))  # a basic artificial is always on [0, 0]
     x = x[:n].copy()
     return SimplexResult(

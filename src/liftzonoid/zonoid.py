@@ -135,7 +135,7 @@ def zonotope_polygon_2d(mu: EmpiricalMeasure) -> Polygon2D:
         raise WrongDimension(f"zonotope polygon is defined for dimension 2, not {mu.dim}")
     gens = mu.weights[:, None] * mu.points
     scale = float(np.abs(gens).max()) if gens.size else 0.0
-    keep = np.linalg.norm(gens, axis=1) > 1e-15 * max(scale, 1.0)
+    keep = np.linalg.norm(gens, axis=1) > 1e-15 * scale
     gens = gens[keep]
     if gens.shape[0] == 0:
         return Polygon2D(np.zeros((1, 2)))
@@ -161,7 +161,7 @@ def zonotope_polygon_2d(mu: EmpiricalMeasure) -> Polygon2D:
     verts = np.array(path[:-1])  # final step returns to base
     # dedup consecutive vertices (degenerate segments)
     keep_mask = np.ones(len(verts), dtype=bool)
-    tol = 1e-12 * max(scale, 1.0)
+    tol = 1e-12 * scale
     for i in range(1, len(verts)):
         if np.all(np.abs(verts[i] - verts[i - 1]) <= tol):
             keep_mask[i] = False
