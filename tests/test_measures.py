@@ -255,13 +255,15 @@ class TestSelectionWorstCase:
         monkeypatch.setattr(np, name, wrapped)
         return sizes
 
-    def test_no_full_sort(self, monkeypatch):
+    # the larger cloud answers from its block index, built before recording
+    @pytest.mark.parametrize("n", [10_000, 2**15])
+    def test_no_full_sort(self, monkeypatch, n):
         rng = np.random.default_rng(11)
-        n = 10_000
         pts = np.round(rng.standard_normal((n, 2)), 1)
         w = rng.uniform(0.5, 2.0, n)
         mu = EmpiricalMeasure(pts, w / w.sum())
         u = Direction.of([0.6, 0.8])
+        mu.upper_quantile(u, 0.5)
         sizes = self._record(monkeypatch, "argsort")
         for alpha in (1e-6, 0.1, 0.5, 0.9, 1.0):
             query = TrimmedRegionQuery(alpha, u)
