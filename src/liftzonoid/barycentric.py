@@ -107,12 +107,10 @@ def represent(mu, point) -> RepresentationResult:
     offset = mu.upper_quantile(u, alpha)
     hs = HalfSpace(u, offset)
     residual = float(np.linalg.norm(mu.halfspace_barycenter(hs) - x))
-    # inclusion gamma_i alpha / w_i read off the packed loading: the common
-    # ratio of the full atoms and the at most d fractional entries
+    # inclusion gamma_i alpha / w_i of the at most d fractional atoms, read
+    # off the packed loading; a full atom's is alpha / mass, 1 to rounding
     loading = cert.loading
     inclusion = loading.value / loading.mass * alpha / mu.weights[loading.index]
-    if loading.full.any():
-        inclusion = np.append(inclusion, alpha / loading.mass)
     tol = DEFAULT_TOLS.degenerate
     fractional = bool(np.any((inclusion > tol) & (inclusion < 1.0 - tol)))
     unique = not (fractional or cert.dual_degenerate)

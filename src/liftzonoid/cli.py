@@ -2,9 +2,11 @@
 
 Subcommands: depth, contour, support, barycenter, represent, coords,
 gaussian, polygon2d, verify. Measures come from --measure CSV files or
---gaussian JSON specs. Every randomized code path is driven by --seed
-through counter-based per-task streams, so output is byte-identical
-across runs and across --workers values.
+--gaussian JSON specs. Records (depth, support, barycenter, represent,
+coords) print as one JSON document; contour and polygon2d print JSON or,
+with --format csv, a table. Every randomized code path is driven by
+--seed through counter-based per-task streams, so output is
+byte-identical across runs and across verify's --workers values.
 
 Exit codes: 0 success, 1 malformed input (bad flags, files that cannot
 be read or written, any other package error), 2 domain condition
@@ -49,7 +51,7 @@ from .normal import (
     radius,
 )
 from .sampling import direction_grid
-from .verify import SUITES, _map_tasks, run_suite
+from .verify import SUITES, run_suite
 from .zonoid import (
     LiftDirection,
     TrimmedRegionQuery,
@@ -115,14 +117,6 @@ def _emit(args, text: str) -> None:
         print(text, flush=True)  # a closed pipe must fail here, not at exit
 
 
-def _emit_dict(args, payload: dict) -> None:
-    if args.format == "csv":
-        lines = [f"{key},{json.dumps(value)}" for key, value in payload.items()]
-        _emit(args, "\n".join(lines))
-    else:
-        _emit(args, json.dumps(payload))
-
-
 def _axis_names(dim: int, prefix: str) -> list[str]:
     if dim <= 3:
         return [prefix + s for s in "xyz"[:dim]]
@@ -144,20 +138,16 @@ def _load(measure_path: str | None, gaussian_path: str | None) -> Measure:
 
 def cmd_depth(args, mu: Measure) -> int:
     if isinstance(mu, GaussianMeasure):
-        _emit_dict(args, {"depth": gaussian_depth(mu, args.point)})
+        _emit(args, json.dumps({"depth": gaussian_depth(mu, args.point)}))
         return 0
     cert = zonoid_depth(mu, args.point)
-    _emit_dict(args, cert.to_json_dict())
+    _emit(args, json.dumps(cert.to_json_dict()))
     return 2 if cert.status is DepthStatus.OUTSIDE else 0
 
 
 def cmd_contour(args, mu: Measure) -> int:
     dirs = direction_grid(mu.dim, args.directions, seed=args.seed)
-
-    def one(row):
-        return trimmed_boundary_point(mu, TrimmedRegionQuery(args.alpha, Direction(row)))
-
-    points = _map_tasks(one, list(dirs), args.workers)
+    points = [trimmed_boundary_point(mu, TrimmedRegionQuery(args.alpha, Direction(row))) for row in dirs]
     if args.format == "csv":
         header = ["alpha"] + _axis_names(mu.dim, "u") + _axis_names(mu.dim, "b")
         lines = [",".join(header)]
@@ -184,19 +174,19 @@ def cmd_support(args, mu: Measure) -> int:
         value = support_trimmed(mu, TrimmedRegionQuery(args.alpha, Direction.of(args.direction)))
     else:
         value = support_zonoid(mu, Direction.of(args.direction))
-    _emit_dict(args, {"support": value})
+    _emit(args, json.dumps({"support": value}))
     return 0
 
 
 def cmd_barycenter(args, mu: Measure) -> int:
     hs = HalfSpace(Direction.of(args.direction), args.offset)
     bary = mu.halfspace_barycenter(hs)
-    _emit_dict(args, {"barycenter": [float(v) for v in bary], "mass": mu.halfspace_mass(hs)})
+    _emit(args, json.dumps({"barycenter": [float(v) for v in bary], "mass": mu.halfspace_mass(hs)}))
     return 0
 
 
 def cmd_represent(args, mu: Measure) -> int:
-    _emit_dict(args, represent(mu, args.point).to_json_dict())
+    _emit(args, json.dumps(represent(mu, args.point).to_json_dict()))
     return 0
 
 
@@ -208,7 +198,7 @@ def cmd_coords(args, mu: Measure) -> int:
                 raise InputFormatError(f"argument {flag}: not allowed with argument --point")
         if args.to is None:
             raise InputFormatError("--point requires --to with the target form")
-        _emit_dict(args, coords_from_point(mu, args.point, args.to).to_json_dict())
+        _emit(args, json.dumps(coords_from_point(mu, args.point, args.to).to_json_dict()))
         return 0
     if args.scalar is None or args.direction is None:
         raise InputFormatError("--from requires --scalar and --direction")
@@ -218,12 +208,12 @@ def cmd_coords(args, mu: Measure) -> int:
     if args.to is None:
         if args.to_back is not None:
             raise InputFormatError("argument --to-back: requires --to")
-        _emit_dict(args, {"point": [float(v) for v in point_from_coords(mu, coords)]})
+        _emit(args, json.dumps({"point": [float(v) for v in point_from_coords(mu, coords)]}))
         return 0
     coords = convert_coords(mu, coords, args.to)
     if args.to_back is not None:
         coords = convert_coords(mu, coords, args.to_back)
-    _emit_dict(args, coords.to_json_dict())
+    _emit(args, json.dumps(coords.to_json_dict()))
     return 0
 
 
@@ -273,38 +263,36 @@ def build_parser() -> _Parser:
 
     out = _Parser(add_help=False)
     out.add_argument("--out", help="write the payload to this file instead of stdout")
-    fmt = _Parser(add_help=False, parents=[out])
-    fmt.add_argument("--format", choices=("json", "csv"), default="json")
+    table = _Parser(add_help=False, parents=[out])
+    table.add_argument("--format", choices=("json", "csv"), default="json")
 
-    at_least_one = _int_in(1, math.inf, "must be at least 1")
     seeded = _Parser(add_help=False)
     seeded.add_argument("--seed", type=_int_in(0, 2**64, "outside the unsigned 64-bit range"),
                         default=0, help="64-bit unsigned RNG seed")
-    seeded.add_argument("--workers", type=at_least_one, default=1)
 
-    p = sub.add_parser("depth", parents=[src, fmt], help="zonoid depth certificate")
+    p = sub.add_parser("depth", parents=[src, out], help="zonoid depth certificate")
     p.add_argument("--point", type=_vector, required=True, help="comma-separated coordinates")
 
-    p = sub.add_parser("contour", parents=[src, fmt, seeded], help="trimmed-region boundary sweep")
+    p = sub.add_parser("contour", parents=[src, table, seeded], help="trimmed-region boundary sweep")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--directions", type=_int_in(4, math.inf, "must be at least 4"), default=64)
 
-    p = sub.add_parser("support", parents=[src, fmt], help="support function values")
+    p = sub.add_parser("support", parents=[src, out], help="support function values")
     p.add_argument("--direction", type=_vector, required=True)
     level = p.add_mutually_exclusive_group()
     level.add_argument("--alpha", type=float, help="trimmed-region level")
     level.add_argument("--lift-t", type=float, dest="lift_t", help="lift coordinate t")
 
-    p = sub.add_parser("barycenter", parents=[src, fmt], help="half-space barycenter")
+    p = sub.add_parser("barycenter", parents=[src, out], help="half-space barycenter")
     p.add_argument("--direction", type=_vector, required=True)
     p.add_argument("--offset", type=float, required=True,
                    help="half-space offset (-inf selects the whole space)")
 
-    p = sub.add_parser("represent", parents=[src, fmt], help="half-space representation")
+    p = sub.add_parser("represent", parents=[src, out], help="half-space representation")
     p.add_argument("--point", type=_vector, required=True)
 
     kinds = [k.value for k in CoordKind]
-    p = sub.add_parser("coords", parents=[src, fmt], help="barycentric coordinate forms")
+    p = sub.add_parser("coords", parents=[src, out], help="barycentric coordinate forms")
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--point", type=_vector, help="point mode: reads --to alone")
     mode.add_argument("--from", dest="from_", choices=kinds,
@@ -319,11 +307,13 @@ def build_parser() -> _Parser:
     p.add_argument("x", type=float, help="argument value")
     p.set_defaults(measure=None, gaussian=None)
 
-    sub.add_parser("polygon2d", parents=[src, fmt], help="zonotope polygon vertices")
+    sub.add_parser("polygon2d", parents=[src, table], help="zonotope polygon vertices")
 
     p = sub.add_parser("verify", parents=[src, out, seeded], help="run a verification suite")
     p.add_argument("--suite", choices=SUITES, required=True)
+    at_least_one = _int_in(1, math.inf, "must be at least 1")
     p.add_argument("--samples", type=at_least_one, default=1_000_000)
+    p.add_argument("--workers", type=at_least_one, default=1)
 
     return parser
 

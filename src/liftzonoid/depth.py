@@ -29,7 +29,7 @@ from enum import Enum
 import numpy as np
 
 from .config import DEFAULT_TOLS
-from .errors import DegenerateMeasure, NoDual, NotConverged
+from .errors import DegenerateMeasure, NotConverged
 from .measures import Direction, EmpiricalMeasure, as_vector
 from .simplex import solve_bounded_lp
 
@@ -178,13 +178,6 @@ def zonoid_depth(mu: EmpiricalMeasure, point) -> DepthCertificate:
         dual_degenerate=res.dual_degenerate or res.degenerate_basis,
         loading=_PackedLoading.pack(mu.weights, delta, mass),
     )
-
-
-def depth_dual_direction(certificate: DepthCertificate) -> Direction:
-    """Supporting direction from a certificate; raises NoDual when absent."""
-    if certificate.dual_direction is None:
-        raise NoDual(f"no dual direction for status {certificate.status.value!r}")
-    return certificate.dual_direction
 
 
 def depth_bruteforce_oracle(mu: EmpiricalMeasure, point) -> float:

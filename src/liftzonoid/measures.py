@@ -148,16 +148,6 @@ class HalfSpace:
             "a": "-inf" if self.is_whole_space else self.offset,
         }
 
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "HalfSpace":
-        try:
-            u = obj["u"]
-            a = obj["a"]
-        except (KeyError, TypeError) as exc:
-            raise InputFormatError(f"half-space JSON needs 'u' and 'a': {exc}") from exc
-        offset = -math.inf if a == "-inf" else float(a)
-        return cls(Direction.of(u), offset)
-
 
 @dataclass(frozen=True, eq=False)
 class TailSplit:
@@ -261,7 +251,9 @@ class EmpiricalProjection:
         W_> + sum_{v_i > v_k} w_i (v_i - h) / (h - v_k), clipped to [W_>,
         W_>=], the masses above and at v_k. A level at the farthest
         projection returns ``_MASS_SLACK``, one at the mean returns 1.0; a
-        level more than 1e-9 (relative) outside that range raises NoSolution.
+        level more than 1e-9 of the projected spread, plus the rounding of
+        the projections, outside that range raises NoSolution. Both windows
+        move with a shift or a scaling of the cloud.
 
         The split at alpha is the one ``split(alpha)`` returns, made by a
         full scan: v_k is its
@@ -272,14 +264,15 @@ class EmpiricalProjection:
         proj, w = self.values, self.weights
         top, low = float(proj.max()), float(proj.min())
         mean = float(w @ proj)
-        scale = 1.0 + max(top, -low)
-        if h - top > 1e-9 * scale:
+        spread = top - low
+        rounding = 4.0 * math.ulp(max(top, -low))  # of a level or the mean: ulps of the largest |value|
+        if h - top > 1e-9 * spread + rounding:
             raise NoSolution("support level exceeds the farthest atom projection")
-        if mean - h > 1e-9 * scale:
+        if mean - h > 1e-9 * spread + rounding:
             raise NoSolution("support level lies below the mean projection")
         if h >= top:
             return self._scan(_MASS_SLACK)
-        if h <= mean + 1e-13 * scale:  # the mean, up to the rounding of its sum
+        if h <= mean + 1e-13 * spread + rounding:  # the mean, up to the rounding of its sum
             return self._scan(1.0)
         gap = proj - h
         excess = float(w @ np.maximum(gap, 0.0))
@@ -772,10 +765,6 @@ class GaussianMeasure:
         """Coordinates of x in the whitened frame z = factor^{-1} (x - mean)."""
         x = as_vector(x, dim=self.dim, name="point")
         return np.linalg.solve(self.factor, x - self.location)
-
-    def unwhiten(self, z) -> np.ndarray:
-        z = as_vector(z, dim=self.dim, name="point")
-        return self.location + self.factor @ z
 
     def project(self, vec) -> GaussianProjection:
         """Law of <X, vec> for any spatial vector: N(<mean, vec>, |factor^T vec|^2)."""

@@ -38,6 +38,10 @@ _ERFCX_SWITCH = 25.0
 _ERFCX_TERMS = 12
 _DEKKER_SPLIT = 134217729.0  # 2**27 + 1: splits a double into two 26-bit halves
 _G_INVERSE_MAX_ITERATIONS = 120  # safeguarded Newton steps in g_inverse
+# from here on g_inverse returns -y + 1/y, which inverts G(u) = -u - 1/u +
+# 2/u^3 - ... to a relative y^-4, below rounding; a Newton step's
+# G' = -uG - G^2 cancels to 0 there from about y = 7e7
+_G_INVERSE_ASYMPTOTIC = 1e5
 
 
 def normal_pdf(u: float) -> float:
@@ -156,11 +160,14 @@ def g_inverse(y: float) -> float:
 
     Safeguarded Newton iteration (derivative G' = -uG - G^2) inside a
     bracket seeded from the asymptotic inverse: G(u) ~ -u for u -> -inf
-    and G(u) ~ pdf(u) for u -> +inf.
+    and G(u) ~ pdf(u) for u -> +inf. From y = 1e5 on, the left-tail
+    asymptote -y + 1/y is exact to rounding and is returned as it is.
     """
     y = float(y)
     if math.isnan(y) or math.isinf(y) or y <= 0.0:
         raise DomainError(f"g_inverse: y={y!r} outside (0, inf)")
+    if y >= _G_INVERSE_ASYMPTOTIC:
+        return -y + 1.0 / y
     # initial guess by regime
     if y >= 1.0:
         u = -y + 1.0 / y

@@ -324,7 +324,7 @@ def _tied_clouds(draw):
 def test_exact_support_inversion_on_tied_weighted_clouds(instance, alpha):
     mu, u = instance
     proj = mu.points @ u.vec
-    scale = 1.0 + float(np.abs(proj).max())
+    scale = float(np.abs(proj).max()) or 1.0  # no absolute term; 1 when every projection is 0
     h = support_trimmed(mu, TrimmedRegionQuery(alpha, u))
     back = mu.project(u.vec).tail_mean_level(h)
     assert 0.0 < back <= 1.0
@@ -333,7 +333,30 @@ def test_exact_support_inversion_on_tied_weighted_clouds(instance, alpha):
     with pytest.raises(NoSolution):
         mu.project(u.vec).tail_mean_level(float(proj.max()) + 1e-6 * scale)
     with pytest.raises(NoSolution):
-        mu.project(u.vec).tail_mean_level(float(mu.mean() @ u.vec) - 1e-6 * scale)
+        mu.project(u.vec).tail_mean_level(float(mu.weights @ proj) - 1e-6 * scale)
+
+
+@pytest.mark.parametrize("shift,size", [(0.0, 1.0), (1e6, 1.0), (0.0, 1e-14), (1e6, 1e-14)])
+def test_support_level_windows_move_with_the_cloud(shift, size):
+    # the out-of-range windows scale with the projected spread, not with
+    # 1 + max|<x, u>|: a level 1e-4 spreads past either end has no depth
+    # however far the cloud is shifted or however small it is
+    rng = np.random.default_rng(50)
+    mu = EmpiricalMeasure.uniform((rng.standard_normal((50, 2)) + shift) * size)
+    u = Direction([1.0, 0.0])
+    proj = mu.project(u.vec)
+    top, low = float(proj.values.max()), float(proj.values.min())
+    spread = top - low
+    with pytest.raises(NoSolution):
+        proj.tail_mean_level(top + 1e-4 * spread)
+    with pytest.raises(NoSolution):
+        proj.tail_mean_level(float(mu.weights @ proj.values) - 1e-4 * spread)
+    assert proj.tail_mean_level(top) == 1e-12
+    for alpha in (1e-9, 0.02, 0.5, 1.0):
+        h = support_trimmed(mu, TrimmedRegionQuery(alpha, u))
+        back = proj.tail_mean_level(h)
+        assert 0.0 < back <= 1.0
+        assert support_trimmed(mu, TrimmedRegionQuery(back, u)) == pytest.approx(h, abs=1e-9 * spread)
 
 
 def test_support_one_ulp_below_the_top_ends_the_flat_segment():
@@ -430,10 +453,11 @@ def test_support_inversion_matches_the_grouped_sort_on_tied_grids(instance):
     mu, u, h = instance
     proj = mu.points @ u.vec
     top = float(proj.max())
-    scale = 1.0 + float(np.abs(proj).max())
+    # the mean window: 1e-13 of the spread plus a few ulps of the projections
+    scale, rounding = float(np.ptp(proj)), 4 * math.ulp(float(np.abs(proj).max()))
     if h >= top:
         expected = 1e-12
-    elif h <= float(mu.weights @ proj) + 1e-13 * scale:
+    elif h <= float(mu.weights @ proj) + 1e-13 * scale + rounding:
         expected = 1.0
     else:
         expected = _grouped_alpha(proj, mu.weights, h)

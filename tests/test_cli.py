@@ -4,7 +4,10 @@ Tests drive main(argv) in-process; one smoke test exercises the installed
 console script through a real subprocess.
 """
 
+import csv
+import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -517,13 +520,12 @@ class TestPlumbing:
 # the flags each subcommand reads, and a command line it accepts
 _SOURCE = {"--measure", "--gaussian"}
 _OPTIONS = {
-    "depth": _SOURCE | {"--format", "--out", "--point"},
-    "contour": _SOURCE | {"--format", "--out", "--seed", "--workers", "--alpha", "--directions"},
-    "support": _SOURCE | {"--format", "--out", "--direction", "--alpha", "--lift-t"},
-    "barycenter": _SOURCE | {"--format", "--out", "--direction", "--offset"},
-    "represent": _SOURCE | {"--format", "--out", "--point"},
-    "coords": _SOURCE | {"--format", "--out", "--point", "--to", "--from", "--scalar",
-                         "--direction", "--to-back"},
+    "depth": _SOURCE | {"--out", "--point"},
+    "contour": _SOURCE | {"--format", "--out", "--seed", "--alpha", "--directions"},
+    "support": _SOURCE | {"--out", "--direction", "--alpha", "--lift-t"},
+    "barycenter": _SOURCE | {"--out", "--direction", "--offset"},
+    "represent": _SOURCE | {"--out", "--point"},
+    "coords": _SOURCE | {"--out", "--point", "--to", "--from", "--scalar", "--direction", "--to-back"},
     "gaussian": {"--out"},
     "polygon2d": _SOURCE | {"--format", "--out"},
     "verify": _SOURCE | {"--out", "--seed", "--workers", "--samples", "--suite"},
@@ -539,7 +541,10 @@ _ACCEPTED = {
 }
 _STRAY = [(cmd, flag) for cmd in ("depth", "support", "barycenter", "represent", "coords", "polygon2d")
           for flag in ("--seed", "--samples", "--workers")]
-_STRAY += [("contour", "--samples"), ("verify", "--format")]
+# the record commands print JSON only, and contour runs its directions in one loop
+_REMOVED = [(cmd, "--format") for cmd in ("depth", "support", "barycenter", "represent", "coords")]
+_REMOVED += [("contour", "--workers")]
+_STRAY += [("contour", "--samples"), ("verify", "--format")] + _REMOVED
 _STRAY += [("gaussian", flag) for flag in ("--seed", "--samples", "--workers", "--format")]
 _VALUES = {"--seed": "1", "--samples": "5", "--workers": "1", "--format": "csv"}
 
@@ -556,7 +561,7 @@ class TestOptionSurface:
             for name, p in sub.choices.items()
         }
         assert declared == _OPTIONS
-        assert sum(map(len, declared.values())) == 53
+        assert sum(map(len, declared.values())) == 47
 
     @pytest.mark.parametrize("command,flag", _STRAY, ids=[f"{c}{f}" for c, f in _STRAY])
     def test_flag_the_subcommand_does_not_read_exits_1(self, capsys, square_csv, command, flag):
@@ -570,6 +575,14 @@ class TestOptionSurface:
         assert code == 1 and out == ""
         assert err.startswith("error: ") and len(err.splitlines()) == 1
         assert flag in err
+
+    @pytest.mark.parametrize("command,flag", _REMOVED, ids=[f"{c}{f}" for c, f in _REMOVED])
+    def test_removed_flag_exits_1_before_the_measure_loads(self, capsys, tmp_path, command, flag):
+        missing = str(tmp_path / "missing.csv")
+        code, out, err = run_cli(capsys, command, "--measure", missing, *_ACCEPTED[command], flag, _VALUES[flag])
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert flag in err and "missing.csv" not in err
 
     @pytest.mark.parametrize("extra", [["--from", "support"], ["--scalar", "0.5"],
                                        ["--direction", "1,0"], ["--to-back", "depth"]],
@@ -607,6 +620,66 @@ class TestOptionSurface:
         code, out, err = run_cli(capsys, "depth", "--measure", square_csv, "--point", "0,0", "-x")
         assert code == 1 and out == ""
         assert err == "error: unrecognized arguments: -x\n"
+
+
+# every record form, with vector and nested values: a depth off the mean, a
+# represented half-space, and coords in point mode and in both conversions
+_RECORDS = [[cmd, *_ACCEPTED[cmd]] for cmd in ("depth", "support", "barycenter", "represent", "coords")]
+_RECORDS += [
+    ["depth", "--point", "0.2,0.1"],
+    ["represent", "--point", "0.2,0.1"],
+    ["coords", "--from", "support", "--scalar", "0.3", "--direction", "1,0", "--to", "offset"],
+    ["coords", "--from", "support", "--scalar", "0.3", "--direction", "1,0"],
+]
+
+
+class TestOutputShape:
+    @pytest.mark.parametrize("argv", _RECORDS, ids=[" ".join(a) for a in _RECORDS])
+    @pytest.mark.parametrize("kind", ["measure", "gaussian"])
+    def test_record_is_one_json_document(self, capsys, square_csv, std2_json, kind, argv):
+        source = square_csv if kind == "measure" else std2_json
+        code, out, err = run_cli(capsys, *argv, f"--{kind}", source)
+        assert code == 0 and err == ""
+        assert out.endswith("\n") and out.count("\n") == 1
+        assert isinstance(json.loads(out), dict)
+
+    @pytest.mark.parametrize("argv", [["contour", "--alpha", "0.5", "--directions", "12"], ["polygon2d"]],
+                             ids=["contour", "polygon2d"])
+    def test_table_is_csv_of_one_width(self, capsys, square_csv, argv):
+        code, out, err = run_cli(capsys, *argv, "--measure", square_csv, "--format", "csv")
+        assert code == 0 and err == ""
+        header, *rows = list(csv.reader(io.StringIO(out)))
+        assert rows and {len(row) for row in rows} == {len(header)}
+        assert all(math.isfinite(float(cell)) for row in rows for cell in row)
+
+
+# signed zeros, the smallest subnormal, and magnitudes up to overflow: each
+# function of the scalar chain answers, or ends with one line and exit 1 or 2
+_SCALARS = [s + v for v in ("0", "5e-324", "1e-300", "1e-8", "1", "1e5", "1e8", "1e154", "1e300", "inf")
+            for s in ("", "-")] + ["nan"]
+
+
+class TestGaussianChainSweep:
+    @pytest.mark.parametrize("x", _SCALARS)
+    @pytest.mark.parametrize("fn", ["pdf", "cdf", "quantile", "isoperimetric", "radius", "g", "ginv"])
+    def test_scalar_function_has_no_traceback(self, capsys, fn, x):
+        code, out, err = run_cli(capsys, "gaussian", fn, "--", x)
+        assert code in (0, 1, 2) and "Traceback" not in err
+        if code == 0:
+            float(out)
+        else:
+            assert out == "" and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("radius", [f"1e{k}" for k in range(-12, 151, 6)])
+    @pytest.mark.parametrize("command", ["depth", "represent"])
+    def test_far_point_has_no_traceback(self, capsys, std2_json, command, radius):
+        # the whitened radius of (r, 0) under the standard law is r
+        code, out, err = run_cli(capsys, command, "--gaussian", std2_json, f"--point={radius},0")
+        assert code in (0, 1, 2) and "Traceback" not in err
+        if code == 0:
+            json.loads(out)
+        else:
+            assert out == "" and len(err.splitlines()) == 1
 
 
 

@@ -16,12 +16,10 @@ from liftzonoid import (
     DepthStatus,
     Direction,
     EmpiricalMeasure,
-    NoDual,
     NonFinite,
     NotConverged,
     TrimmedRegionQuery,
     depth_bruteforce_oracle,
-    depth_dual_direction,
     represent,
     support_trimmed,
     trimmed_boundary_point,
@@ -47,7 +45,7 @@ class TestWorkedExample:
 
     def test_dual_direction(self, two_atom):
         cert = zonoid_depth(two_atom, [0.5])
-        u = depth_dual_direction(cert)
+        u = cert.dual_direction
         np.testing.assert_allclose(u.vec, [1.0], atol=1e-12)
         assert not cert.dual_degenerate
 
@@ -68,8 +66,7 @@ class TestStatuses:
         assert cert.status is DepthStatus.OUTSIDE
         assert cert.depth == 0.0
         assert cert.atom_weights is None
-        with pytest.raises(NoDual):
-            depth_dual_direction(cert)
+        assert cert.dual_direction is None
 
     def test_atom_on_hull_boundary(self, square):
         # a vertex of the support hull has depth equal to its own weight
@@ -105,7 +102,7 @@ class TestCertificateInvariants:
         cert = zonoid_depth(mu, x)
         if cert.status is not DepthStatus.INTERIOR:
             pytest.skip("need an interior query")
-        u = depth_dual_direction(cert)
+        u = cert.dual_direction
         q = TrimmedRegionQuery(cert.depth, u)
         # x attains the support of its own trimmed region along u ...
         assert float(np.dot(x, u.vec)) == pytest.approx(
@@ -161,7 +158,7 @@ class TestDegenerateDual:
         cert = zonoid_depth(cross, [0.3, 0.0])
         assert cert.depth == pytest.approx(10.0 / 13.0, abs=1e-10)
         assert cert.dual_degenerate
-        u = depth_dual_direction(cert).vec
+        u = cert.dual_direction.vec
         assert u[0] >= abs(u[1]) - 1e-9
         q = TrimmedRegionQuery(cert.depth, Direction(u))
         assert 0.3 * u[0] == pytest.approx(support_trimmed(cross, q), abs=1e-9)

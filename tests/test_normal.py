@@ -228,6 +228,18 @@ def test_g_inverse_inverts_g_ratio_on_wide_range():
         assert abs(g_inverse(g_ratio(u)) - u) <= 1e-12 * (1.0 + abs(u))
 
 
+def test_g_inverse_answers_for_large_y():
+    # a Newton step there divided by G' = -uG - G^2, which cancels to 0
+    # from y = 7e7 to 1.3e154; the 120-bit reference holds up to y = 1e10
+    import mpmath
+
+    with mpmath.workprec(120):
+        worst = max(abs(_g_reference(g_inverse(y), mpmath) / y - 1.0) for y in np.logspace(5, 10, 51).tolist())
+    assert worst <= 2.3e-16
+    for y in np.logspace(5, 300, 400).tolist():
+        assert g_ratio(g_inverse(y)) == pytest.approx(y, rel=4.5e-16)
+
+
 def test_g_ratio_endpoint_limits():
     assert g_ratio(float("-inf")) == float("inf")
     assert g_ratio(float("inf")) == 0.0
