@@ -10,7 +10,8 @@ byte-identical across runs and across verify's --workers values.
 
 Exit codes: 0 success, 1 malformed input (bad flags, files that cannot
 be read or written, any other package error), 2 domain condition
-(outside support, zero mass, mean point, no solution), 3 verification
+(outside support, a Gaussian depth that underflows to 0, zero mass,
+mean point, no solution), 3 verification
 failure, 141 stdout closed by its reader (as a shell reports death by
 SIGPIPE). Log verbosity comes from the LIFTZONOID_LOG environment
 variable (error, warn or warning, info, debug).
@@ -38,7 +39,7 @@ from .barycentric import (
     represent,
 )
 from .depth import DepthStatus, zonoid_depth
-from .errors import DomainCondition, InputFormatError, LiftZonoidError
+from .errors import DomainCondition, InputFormatError, LiftZonoidError, OutsideSupport
 from .gaussian import gaussian_depth
 from .measures import Direction, EmpiricalMeasure, GaussianMeasure, HalfSpace, Measure, load_measure
 from .normal import (
@@ -117,6 +118,12 @@ def _emit(args, text: str) -> None:
         print(text, flush=True)  # a closed pipe must fail here, not at exit
 
 
+def _table(args, header: list[str], rows) -> None:
+    """Emit a CSV table: the header, then one line of float cells per row."""
+    lines = [",".join(header)] + [",".join(repr(float(v)) for v in row) for row in rows]
+    _emit(args, "\n".join(lines))
+
+
 def _axis_names(dim: int, prefix: str) -> list[str]:
     if dim <= 3:
         return [prefix + s for s in "xyz"[:dim]]
@@ -138,7 +145,10 @@ def _load(measure_path: str | None, gaussian_path: str | None) -> Measure:
 
 def cmd_depth(args, mu: Measure) -> int:
     if isinstance(mu, GaussianMeasure):
-        _emit(args, json.dumps({"depth": gaussian_depth(mu, args.point)}))
+        depth = gaussian_depth(mu, args.point)
+        if depth == 0.0:
+            raise OutsideSupport("depth underflows to 0: the point lies past every representable trimmed region")
+        _emit(args, json.dumps({"depth": depth}))
         return 0
     cert = zonoid_depth(mu, args.point)
     _emit(args, json.dumps(cert.to_json_dict()))
@@ -150,11 +160,7 @@ def cmd_contour(args, mu: Measure) -> int:
     points = [trimmed_boundary_point(mu, TrimmedRegionQuery(args.alpha, Direction(row))) for row in dirs]
     if args.format == "csv":
         header = ["alpha"] + _axis_names(mu.dim, "u") + _axis_names(mu.dim, "b")
-        lines = [",".join(header)]
-        for row, b in zip(dirs, points):
-            cells = [repr(args.alpha)] + [repr(float(v)) for v in row] + [repr(float(v)) for v in b]
-            lines.append(",".join(cells))
-        _emit(args, "\n".join(lines))
+        _table(args, header, ([args.alpha, *row, *b] for row, b in zip(dirs, points)))
     else:
         payload = {
             "alpha": args.alpha,
@@ -227,8 +233,7 @@ def cmd_polygon2d(args, mu: Measure) -> int:
         raise InputFormatError("polygon2d needs an empirical measure (--measure)")
     poly = zonotope_polygon_2d(mu)
     if args.format == "csv":
-        lines = ["x,y"] + [f"{v[0]!r},{v[1]!r}" for v in poly.vertices.tolist()]
-        _emit(args, "\n".join(lines))
+        _table(args, ["x", "y"], poly.vertices)
     else:
         _emit(args, json.dumps({"vertices": poly.vertices.tolist()}))
     return 0

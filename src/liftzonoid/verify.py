@@ -26,9 +26,10 @@ from .normal import g_inverse, g_ratio, normal_cdf, normal_quantile, radius
 from .sampling import direction_grid, task_stream
 from .zonoid import TrimmedRegionQuery, support_trimmed, support_zonoid, trimmed_boundary_point
 
-SUITES = ("theorem1", "gaussian", "roundtrip", "oracle")
 # a Monte-Carlo property fails when any of its tasks keeps fewer draws
 MIN_KEPT = 100
+# random small clouds the oracle suite checks the LP depth on
+_ORACLE_INSTANCES = 25
 
 
 def _map_tasks(fn, args, workers: int):
@@ -104,11 +105,8 @@ def _theorem1_single(arg):
     return err_support, err_nesting, err_reflect, err_cont, err_limit
 
 
-def suite_theorem1(measure=None, seed: int = 0, workers: int = 1) -> dict:
-    if measure is not None:
-        measures = [measure]
-    else:
-        measures = [_random_empirical(seed, i) for i in range(6)]
+def _theorem1(measure, seed: int, samples: int, workers: int) -> dict:
+    measures = [_random_empirical(seed, i) for i in range(6)] if measure is None else [measure]
     rows = _map_tasks(
         _theorem1_single, [(mu, seed, i) for i, mu in enumerate(measures)], workers
     )
@@ -150,7 +148,7 @@ def _mc_barycenter_task(arg):
     return float(np.max(err / bound)), count
 
 
-def suite_gaussian(seed: int = 0, samples: int = 1_000_000, workers: int = 1) -> dict:
+def _gaussian(measure, seed: int, samples: int, workers: int) -> dict:
     alphas = np.linspace(0.01, 0.99, 49)
     chain = max(
         abs(g_ratio(normal_quantile(float(a))) - radius(float(a))) for a in alphas
@@ -205,13 +203,8 @@ def _roundtrip_single(arg):
     return worst
 
 
-def suite_roundtrip(measure=None, seed: int = 0, workers: int = 1) -> dict:
-    if measure is None:
-        mu = GaussianMeasure.standard(2)
-    elif isinstance(measure, GaussianMeasure):
-        mu = measure
-    else:
-        raise InputFormatError("the roundtrip suite needs a Gaussian measure")
+def _roundtrip(measure, seed: int, samples: int, workers: int) -> dict:
+    mu = GaussianMeasure.standard(2) if measure is None else measure
     rows = _map_tasks(
         _roundtrip_single, [(mu, seed, i) for i in range(100)], workers
     )
@@ -240,10 +233,10 @@ def _oracle_single(arg):
     return abs(fast - depth_bruteforce_oracle(mu, x))
 
 
-def suite_oracle(seed: int = 0, workers: int = 1, n_instances: int = 25) -> dict:
+def _oracle(measure, seed: int, samples: int, workers: int) -> dict:
     two_atom = EmpiricalMeasure(np.array([[-1.0], [1.0]]), np.array([0.5, 0.5]))
     exact = abs(zonoid_depth(two_atom, [0.5]).depth - 2.0 / 3.0)
-    rows = _map_tasks(_oracle_single, [(seed, i) for i in range(n_instances)], workers)
+    rows = _map_tasks(_oracle_single, [(seed, i) for i in range(_ORACLE_INSTANCES)], workers)
     errors = [e for e in rows if e is not None]
     props = [
         _prop("two-atom-worked-example", exact, 1e-12),
@@ -255,7 +248,17 @@ def suite_oracle(seed: int = 0, workers: int = 1, n_instances: int = 25) -> dict
             checked=len(errors),
         ),
     ]
-    return _finish("oracle", seed, props, n_instances=n_instances)
+    return _finish("oracle", seed, props, n_instances=_ORACLE_INSTANCES)
+
+
+# suite name -> (runner, the measure classes it accepts; none: built-in data only)
+_SUITES = {
+    "theorem1": (_theorem1, (EmpiricalMeasure, GaussianMeasure)),
+    "gaussian": (_gaussian, ()),
+    "roundtrip": (_roundtrip, (GaussianMeasure,)),
+    "oracle": (_oracle, ()),
+}
+SUITES = tuple(_SUITES)
 
 
 def run_suite(
@@ -265,14 +268,13 @@ def run_suite(
     samples: int = 1_000_000,
     workers: int = 1,
 ) -> dict:
-    if name in ("gaussian", "oracle") and measure is not None:
-        raise InputFormatError(f"the {name} suite runs on built-in data and takes no measure")
-    if name == "theorem1":
-        return suite_theorem1(measure=measure, seed=seed, workers=workers)
-    if name == "gaussian":
-        return suite_gaussian(seed=seed, samples=samples, workers=workers)
-    if name == "roundtrip":
-        return suite_roundtrip(measure=measure, seed=seed, workers=workers)
-    if name == "oracle":
-        return suite_oracle(seed=seed, workers=workers)
-    raise InputFormatError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
+    """Run suite ``name``; ``measure`` replaces the built-in data of a suite that takes one."""
+    if name not in _SUITES:
+        raise InputFormatError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
+    runner, takes = _SUITES[name]
+    if measure is not None and not isinstance(measure, takes):
+        if not takes:
+            raise InputFormatError(f"the {name} suite runs on built-in data and takes no measure")
+        kinds = " or ".join(k.__name__.removesuffix("Measure") for k in takes)
+        raise InputFormatError(f"the {name} suite needs a {kinds} measure")
+    return runner(measure, seed, samples, workers)

@@ -146,26 +146,11 @@ def zonotope_polygon_2d(mu: EmpiricalMeasure) -> Polygon2D:
     order = np.argsort(angles, kind="stable")
     upper, angles = upper[order], angles[order]
     # merge generators that point the same way (collinear edges)
-    merged: list[np.ndarray] = []
-    for g, ang in zip(upper, angles):
-        if merged and abs(ang - merged[-1][1]) <= 1e-12:
-            merged[-1][0] += g
-        else:
-            merged.append([g.copy(), ang])
-    edges = [g for g, _ in merged]
-    path = [base]
-    for g in edges:
-        path.append(path[-1] + g)
-    for g in edges:
-        path.append(path[-1] - g)
-    verts = np.array(path[:-1])  # final step returns to base
-    # dedup consecutive vertices (degenerate segments)
-    keep_mask = np.ones(len(verts), dtype=bool)
-    tol = 1e-12 * scale
-    for i in range(1, len(verts)):
-        if np.all(np.abs(verts[i] - verts[i - 1]) <= tol):
-            keep_mask[i] = False
-    if len(verts) > 1 and np.all(np.abs(verts[-1] - verts[0]) <= tol) and keep_mask[-1]:
-        keep_mask[-1] = False
-    return Polygon2D(verts[keep_mask])
-
+    starts = np.flatnonzero(np.r_[True, np.diff(angles) > 1e-12])
+    edges = np.add.reduceat(upper, starts, axis=0)
+    verts = np.cumsum(np.vstack([base, edges, -edges]), axis=0)[:-1]  # the last step returns to base
+    # drop a vertex that repeats its predecessor; at the wrap, the last one goes
+    dup = np.all(np.abs(verts - np.roll(verts, 1, axis=0)) <= 1e-12 * scale, axis=1)
+    dup[-1] |= dup[0]
+    dup[0] = False
+    return Polygon2D(verts[~dup])

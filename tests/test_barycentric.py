@@ -31,6 +31,7 @@ from liftzonoid import (
     support_trimmed,
     trimmed_boundary_point,
     verify_uniqueness,
+    ZeroMass,
 )
 
 G_INV_HALF = 0.5179127159921794137   # G(u) = 1/2 at this u
@@ -213,6 +214,12 @@ class TestRoundTrips:
         back = convert_coords(two_atom, off, CoordKind.DEPTH)
         assert back.scalar == pytest.approx(1.0, abs=1e-12)
 
+    def test_convert_from_offset_above_every_atom(self, two_atom):
+        # {x >= 2} holds neither atom of {-1, +1}: no mass, no depth
+        off = BarycentricCoords(CoordKind.OFFSET, 2.0, Direction([1.0]))
+        with pytest.raises(ZeroMass):
+            convert_coords(two_atom, off, CoordKind.DEPTH)
+
     def test_identity_conversion(self, std2):
         c = coords_from_point(std2, [0.3, 0.3], CoordKind.DEPTH)
         same = convert_coords(std2, c, CoordKind.DEPTH)
@@ -304,6 +311,10 @@ class TestVerifyUniqueness:
         w = HalfSpace.whole_space(2)
         h = HalfSpace(Direction([1.0, 0.0]), 0.0)
         assert verify_uniqueness(std2, w, h) == pytest.approx(0.5, abs=1e-12)
+
+    def test_two_whole_spaces(self, std2):
+        w = HalfSpace.whole_space(2)
+        assert verify_uniqueness(std2, w, w) == 0.0
 
 
 @st.composite

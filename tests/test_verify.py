@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from liftzonoid import GaussianMeasure, InputFormatError
-from liftzonoid.verify import SUITES, run_suite, suite_oracle
+from liftzonoid.verify import SUITES, run_suite
 
 
 @pytest.mark.parametrize("name", SUITES)
@@ -63,8 +63,9 @@ def test_oracle_suite_reports_checked_instances():
     assert prop["max_error"] <= 1e-12
 
 
-def test_oracle_suite_with_no_instances_fails():
-    report = suite_oracle(seed=0, n_instances=0)
+def test_oracle_suite_with_no_instances_fails(monkeypatch):
+    monkeypatch.setattr("liftzonoid.verify._ORACLE_INSTANCES", 0)
+    report = run_suite("oracle", seed=0)
     prop = _by_name(report)["lp-depth-matches-bruteforce"]
     assert prop["checked"] == 0
     assert not prop["passed"] and not report["passed"]
@@ -82,7 +83,8 @@ class _MidpointStream:
 
 def test_oracle_suite_fails_when_every_draw_is_degenerate(monkeypatch):
     monkeypatch.setattr("liftzonoid.verify.task_stream", lambda seed, task: _MidpointStream())
-    report = suite_oracle(seed=0, n_instances=6)
+    monkeypatch.setattr("liftzonoid.verify._ORACLE_INSTANCES", 6)
+    report = run_suite("oracle", seed=0)
     prop = _by_name(report)["lp-depth-matches-bruteforce"]
     assert prop["checked"] == 0
     assert not prop["passed"] and not report["passed"]
@@ -102,6 +104,18 @@ def test_roundtrip_rejects_empirical(square):
 def test_unknown_suite():
     with pytest.raises(InputFormatError):
         run_suite("nope")
+
+
+@pytest.mark.parametrize("name,message", [
+    ("gaussian", "the gaussian suite runs on built-in data and takes no measure"),
+    ("oracle", "the oracle suite runs on built-in data and takes no measure"),
+    ("roundtrip", "the roundtrip suite needs a Gaussian measure"),
+    ("nope", "unknown suite 'nope'; choose from theorem1, gaussian, roundtrip, oracle"),
+])
+def test_rejected_measure_or_name_keeps_its_message(square, name, message):
+    with pytest.raises(InputFormatError) as exc:
+        run_suite(name, measure=square)
+    assert str(exc.value) == message
 
 
 def test_seed_changes_instances_not_verdict():

@@ -1,5 +1,7 @@
 """Support functions of zonoids, lift zonoids, and trimmed regions."""
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -182,7 +184,56 @@ class TestTrimmedBoundaryPoint:
         np.testing.assert_allclose(pt, radius(0.25) * u.vec, atol=1e-12)
 
 
+def _walked_polygon(mu):
+    """Reference: the zonotope walk one generator at a time, summing in order."""
+    gens = mu.weights[:, None] * mu.points
+    scale = float(np.abs(gens).max())
+    gens = gens[np.linalg.norm(gens, axis=1) > 1e-15 * scale]
+    if gens.shape[0] == 0:
+        return np.zeros((1, 2))
+    flip = (gens[:, 1] < 0.0) | ((gens[:, 1] == 0.0) & (gens[:, 0] < 0.0))
+    upper = np.where(flip[:, None], -gens, gens)
+    angles = np.arctan2(upper[:, 1], upper[:, 0])
+    order = np.argsort(angles, kind="stable")
+    edges, last = [], None
+    for g, ang in zip(upper[order], angles[order]):
+        if last is not None and ang - last <= 1e-12:
+            edges[-1] = edges[-1] + g
+        else:
+            edges.append(g.copy())
+        last = ang
+    path = [gens[flip].sum(axis=0)]
+    for g in edges + [-g for g in edges]:
+        path.append(path[-1] + g)
+    keep = [0]
+    for i in range(1, len(path) - 1):
+        if np.any(np.abs(path[i] - path[i - 1]) > 1e-12 * scale):
+            keep.append(i)
+    if len(keep) > 1 and np.all(np.abs(path[keep[-1]] - path[0]) <= 1e-12 * scale) and keep[-1] == len(path) - 2:
+        keep.pop()
+    return np.array([path[i] for i in keep])
+
+
+def _tied_grid(seed, n):
+    pts = np.random.default_rng(seed).integers(-6, 7, size=(n, 2)).astype(float)
+    return EmpiricalMeasure.uniform(pts)
+
+
 class TestZonotopePolygon:
+    @pytest.mark.parametrize("seed,n,weighted", [(1, 1, False), (2, 5, True), (3, 200, False),
+                                                 (4, 10_000, True)])
+    def test_walk_is_bit_identical_without_ties(self, cloud, seed, n, weighted):
+        mu = cloud(seed, n=n, weighted=weighted)
+        np.testing.assert_array_equal(zonotope_polygon_2d(mu).vertices, _walked_polygon(mu))
+
+    @pytest.mark.parametrize("seed,n", [(5, 50), (6, 2000)])
+    def test_walk_on_tied_grids_moves_only_by_rounding(self, seed, n):
+        # equal-angle generators are summed pairwise, not in order
+        mu = _tied_grid(seed, n)
+        got, ref = zonotope_polygon_2d(mu).vertices, _walked_polygon(mu)
+        assert got.shape == ref.shape
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
     def test_square_vertices(self, square):
         poly = zonotope_polygon_2d(square)
         np.testing.assert_allclose(
@@ -220,9 +271,31 @@ class TestZonotopePolygon:
         # all generators parallel: the zonotope is a segment, 2 vertices
         assert poly.vertices.shape[0] == 2
 
+    def test_atoms_at_the_origin_give_one_vertex(self):
+        mu = EmpiricalMeasure.uniform(np.zeros((3, 2)))
+        assert zonotope_polygon_2d(mu).vertices.tolist() == [[0.0, 0.0]]
+
     def test_wrong_dimension(self, cloud):
         with pytest.raises(WrongDimension):
             zonotope_polygon_2d(cloud(1, n=5, d=3))
+
+    def test_large_clouds_within_budget(self):
+        # a tied integer grid (13^2 cells, 48 generator directions) and a
+        # Gaussian cloud, 10^5 atoms each
+        clouds = [_tied_grid(3, 100_000),
+                  EmpiricalMeasure.uniform(np.random.default_rng(4).standard_normal((100_000, 2)))]
+        start = time.perf_counter()
+        polys = [zonotope_polygon_2d(mu) for mu in clouds]
+        elapsed = time.perf_counter() - start
+        assert len(polys[0]) == 96
+        for mu, poly in zip(clouds, polys):
+            edges = np.roll(poly.vertices, -1, axis=0) - poly.vertices
+            turns = np.roll(edges, -1, axis=0)
+            assert np.all(edges[:, 0] * turns[:, 1] - edges[:, 1] * turns[:, 0] > 0.0)  # counterclockwise
+            scale = float(np.abs(poly.vertices).max())
+            for u in direction_grid(2, 360, seed=5):
+                assert abs(poly.support(u) - support_zonoid(mu, Direction(u))) <= 1e-10 * scale
+        assert elapsed < 0.5, f"two 10^5-atom polygons took {elapsed:.2f}s"
 
 
 class TestLiftDirectionValidation:
