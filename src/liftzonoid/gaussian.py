@@ -16,8 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_TOLS
+from .errors import ZeroMass
 from .measures import Direction, GaussianMeasure, HalfSpace, as_vector
-from .normal import g_inverse, normal_cdf
+from .normal import g_inverse, g_ratio, normal_cdf
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,6 +87,13 @@ def gaussian_represent(mu: GaussianMeasure, point) -> RepresentationResult:
         return RepresentationResult.at_mean(mu, x)
     u_w = xw / rho
     a_w = -g_inverse(rho)
+    # the mass and the barycenter come from the whitened offset that the
+    # depth reads, not from the pulled-back half-space, whose standardized
+    # offset can round a few ulps further into the tail
+    alpha = normal_cdf(-a_w)  # gaussian_depth's Phi(G^-1(rho)), from the same G^-1
+    if alpha <= 0.0:
+        raise ZeroMass(f"half-space at standardized offset {a_w!r} carries no mass")
+    bary = mu.location + mu.factor @ (u_w * g_ratio(-a_w))
     # {y_w : <u_w, y_w> >= a_w} in whitened coordinates pulls back through
     # y_w = A^-1 (y - m) to {y : <A^-T u_w, y> >= a_w + <A^-T u_w, m>}.
     v = np.linalg.solve(mu.factor.T, u_w)
@@ -93,10 +101,9 @@ def gaussian_represent(mu: GaussianMeasure, point) -> RepresentationResult:
     direction = Direction(v / norm_v)
     offset = (a_w + float(v @ mu.location)) / norm_v
     hs = HalfSpace(direction, offset)
-    bary = mu.halfspace_barycenter(hs)
     return RepresentationResult(
         halfspace=hs,
-        alpha=normal_cdf(-a_w),  # gaussian_depth's Phi(G^-1(rho)), from the same G^-1
+        alpha=alpha,
         residual=float(np.linalg.norm(bary - x)),
         unique=True,
         method="closed-form",

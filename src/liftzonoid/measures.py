@@ -20,14 +20,18 @@ marginal atom is already the threshold. ``mu.tail_barycenter`` turns a
 split into the boundary point of the trimmed region.
 
 Every split runs the one tail kernel, ``upper_mass_split``. A cloud of
-at least 2^14 atoms in d <= 2, or 2^16 in d = 3, builds a block index at
-its first ``split`` (atoms in Z-order, blocks of 64 with their boxes,
-masses and first moments): the blocks wholly above the threshold count
-by their sums, and the kernel reads only the atoms of the blocks the
-threshold cuts, so ``tail_mean``, ``upper_quantile`` and ``split`` need
-not project every atom. Their thresholds are bit-identical to the full
-scan's. ``split_at_level``, ``mass_above``, ``positive_part_mean`` and
-smaller clouds scan all atoms.
+at least 2^14 atoms in d <= 2, or 2^16 in d = 3, builds a block index
+(atoms in Z-order, blocks of 64 with their boxes, masses and first
+moments) at the ``_BUILD_AT_QUERY``-th query that could read it; the
+queries before it, and every query on a smaller cloud, scan all atoms.
+Through the index every operation reads a level of V the same way: the
+blocks wholly above the level count by their mass and moment, the blocks
+wholly below it not at all, and only the atoms of the blocks the level
+cuts are projected. That covers ``split`` (and ``tail_mean`` and
+``upper_quantile``) at its bracketed threshold, ``split_at_level`` at h
+and at the bracket of its marginal atom, ``mass_above`` and the half-space
+barycenter at the offset, and ``positive_part_mean(t)`` at -t. Thresholds
+are bit-identical to the full scan's; sums agree to rounding.
 
 File formats: point clouds are CSV (one atom per row, optional final
 ``weight`` column when a header is present), Gaussians are JSON with
@@ -181,10 +185,12 @@ class EmpiricalProjection:
     """Law of V = <X, v> under an empirical measure.
 
     ``values`` holds <x_i, v> in atom order, unsorted, computed when first
-    read, and ``weights`` the atom weights. The operations that read
-    ``values`` are O(n). ``split``, and through it ``tail_mean`` and
-    ``upper_quantile``, reads only the atoms of the blocks its threshold
-    cuts when the measure has a block index (see ``_BlockIndex``).
+    read, and ``weights`` the atom weights. Every operation sums over a
+    half-space or a band of V through ``_cut``: once the measure has a
+    block index (see ``_BlockIndex``), the blocks wholly above count by
+    their mass and moment and only the atoms of the blocks that the level
+    cuts are projected; without one, every atom is projected, which is
+    O(n).
     """
 
     measure: EmpiricalMeasure
@@ -198,9 +204,44 @@ class EmpiricalProjection:
     def values(self) -> np.ndarray:
         return self.measure.points @ self.vec
 
+    @cached_property
+    def _index(self) -> _BlockIndex | None:
+        return self.measure._index()
+
+    @cached_property
+    def _bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        return self._index.bounds(self.vec)
+
+    def _cut(self, floor: float, ceiling: float | None = None) -> _Cut:
+        """Sums of the blocks wholly above ``[floor, ceiling]`` and the atoms of the blocks it cuts.
+
+        ``ceiling`` defaults to ``floor``, a hyperplane. Without an index
+        there are no blocks and every atom is a candidate.
+        """
+        if self._index is None:
+            return _Cut(0.0, np.zeros(self.vec.size), self.measure.points, self.weights, self.values)
+        lo, hi = self._bounds
+        whole = lo > (floor if ceiling is None else ceiling)
+        return self._index.cut(self.vec, whole, (hi >= floor) & ~whole)
+
+    def _bracket(self, block_weights: np.ndarray, level: float, slack: float) -> tuple[float, float]:
+        """Bounds on the upper-``level`` threshold of a law on the atoms, from its block sums.
+
+        Each block's values lie in its interval, so the threshold lies
+        between the upper quantiles of the blocks' lower and upper ends
+        (each end standing for its block's weight), taken at ``level``
+        plus and minus ``slack``, more than any rounding of a weight sum.
+        """
+        lo, hi = self._bounds
+        return upper_mass_split(lo, block_weights, level + slack)[0], upper_mass_split(hi, block_weights, level - slack)[0]
+
     def positive_part_mean(self, t: float) -> float:
-        """E(t + V)_+."""
-        return float(self.weights @ np.maximum(t + self.values, 0.0))
+        """E(t + V)_+; whole blocks above -t add t mass + <moment, v>."""
+        cut = self._cut(-t)
+        atoms = float(cut.weights @ np.maximum(t + cut.values, 0.0))
+        if cut.mass == 0.0:  # no whole block, and t may be infinite
+            return atoms
+        return (t * cut.mass + float(cut.moment @ self.vec)) + atoms
 
     def tail_mean(self, alpha: float) -> float:
         """Mean of the upper-alpha mass of V, splitting the marginal atoms."""
@@ -214,25 +255,35 @@ class EmpiricalProjection:
 
     def mass_above(self, a: float) -> float:
         """P(V >= a)."""
-        return float(self.weights[self.values >= a].sum())
+        cut = self._cut(a)
+        return cut.mass + float(cut.weights[cut.values >= a].sum())
 
     def split(self, alpha: float) -> TailSplit:
-        """The upper-alpha split of V (see ``upper_mass_split``), by blocks where indexed."""
-        blocks = self.measure._blocks
-        return self._scan(alpha) if blocks is None else blocks.split(self.vec, _check_alpha(alpha))
+        """The upper-alpha split of V (see ``upper_mass_split``).
 
-    def _scan(self, alpha: float) -> TailSplit:
-        """The upper-alpha split over all atoms."""
+        With an index, the blocks bracket the threshold and the kernel
+        reads only the atoms of the blocks the bracket cuts. A row's
+        projection does not depend on which rows are projected with it,
+        so the threshold is the full scan's, bit for bit.
+        """
         alpha = _check_alpha(alpha)
-        threshold, full, tie, residual = upper_mass_split(self.values, self.weights, alpha)
-        return self._over_all_atoms(alpha, threshold, residual, full, np.flatnonzero(tie))
+        blocks = self._index
+        cut = self._cut(-math.inf) if blocks is None else self._cut(*self._bracket(blocks.mass, alpha, _MASS_SLACK))
+        threshold, full, tie, residual = upper_mass_split(cut.values, cut.weights, alpha, cut.mass)
+        return cut.split(alpha, threshold, residual, full, np.flatnonzero(tie))
 
-    def _over_all_atoms(self, alpha, threshold, residual, full, tie) -> TailSplit:
-        """A split whose candidates are all atoms."""
-        return TailSplit(
-            alpha, threshold, residual, 0.0, np.zeros(self.vec.size),
-            self.measure.points, self.weights, self.values, full, tie,
-        )
+    def _extremes(self) -> tuple[float, float]:
+        """The largest and the smallest computed projection."""
+        if self._index is None:
+            return float(self.values.max()), float(self.values.min())
+        # each lies in a block whose interval reaches past an atom of the
+        # block that reaches farthest
+        blocks, vec = self._index, self.vec
+        lo, hi = self._bounds
+        none = np.zeros(lo.size, dtype=bool)
+        top = blocks.cut(vec, none, hi >= (blocks.points[hi.argmax()] @ vec).max()).values.max()
+        low = blocks.cut(vec, none, lo <= (blocks.points[lo.argmin()] @ vec).min()).values.min()
+        return float(top), float(low)
 
     def tail_mean_level(self, h: float) -> float:
         """The alpha whose tail mean is h (see ``split_at_level``)."""
@@ -250,53 +301,98 @@ class EmpiricalProjection:
         w_i (h - v_i)/P, level 1), O(n) expected, not a sort. Then alpha =
         W_> + sum_{v_i > v_k} w_i (v_i - h) / (h - v_k), clipped to [W_>,
         W_>=], the masses above and at v_k. A level at the farthest
-        projection returns ``_MASS_SLACK``, one at the mean returns 1.0; a
-        level more than 1e-9 of the projected spread, plus the rounding of
-        the projections, outside that range raises NoSolution. Both windows
+        projection returns ``_MASS_SLACK``, one within ``_AT_MEAN`` of the
+        projected spread of the mean returns 1.0; a level more than
+        ``_LEVEL_RANGE`` of the spread, plus the rounding of the
+        projections, outside that range raises NoSolution. The windows
         move with a shift or a scaling of the cloud.
 
-        The split at alpha is the one ``split(alpha)`` returns, made by a
-        full scan: v_k is its
-        threshold unless alpha lies within the selection's ``_MASS_SLACK`` of
-        W_>, where the threshold may be the next atom up. Only then, and at
-        the ends of the range, is the selection run a second time.
+        With a block index each sum reads only the blocks its level cuts.
+        The excess takes the blocks wholly above h by their moments. The
+        blocks wholly below h have deficits h mass - <moment, v>, which
+        bracket v_k as ``split`` brackets a mass level, and the selection
+        runs on the atoms of the blocks the bracket cuts. Without an index
+        every atom is a candidate.
+
+        The split at alpha is the one ``split(alpha)`` returns: v_k is its
+        threshold unless alpha lies within the selection's ``_MASS_SLACK``
+        of W_>, where the threshold may be the next atom up. Only then, and
+        at the ends of the range, is ``split`` called.
         """
-        proj, w = self.values, self.weights
-        top, low = float(proj.max()), float(proj.min())
-        mean = float(w @ proj)
+        top, low = self._extremes()
+        mean = float(self.measure.mean() @ self.vec)
         spread = top - low
         rounding = 4.0 * math.ulp(max(top, -low))  # of a level or the mean: ulps of the largest |value|
-        if h - top > 1e-9 * spread + rounding:
+        if h - top > _LEVEL_RANGE * spread + rounding:
             raise NoSolution("support level exceeds the farthest atom projection")
-        if mean - h > 1e-9 * spread + rounding:
+        if mean - h > _LEVEL_RANGE * spread + rounding:
             raise NoSolution("support level lies below the mean projection")
         if h >= top:
-            return self._scan(_MASS_SLACK)
-        if h <= mean + 1e-13 * spread + rounding:  # the mean, up to the rounding of its sum
-            return self._scan(1.0)
-        gap = proj - h
-        excess = float(w @ np.maximum(gap, 0.0))
+            return self.split(_MASS_SLACK)
+        if h <= mean + _AT_MEAN * spread + rounding:  # the mean, up to the rounding of its sum
+            return self.split(1.0)
+        at_h = self._cut(h)
+        gap = at_h.values - h
+        excess = (float(at_h.moment @ self.vec) - h * at_h.mass) + float(at_h.weights @ np.maximum(gap, 0.0))
         if excess <= np.finfo(float).tiny * (h - low):
             # P underflowed (h a few ulps below a top near 0), or dividing by it
             # would overflow: alpha is the mass at or above h, up to P / (h - v_k)
-            return self._scan(float(w @ (gap >= 0.0)))
+            return self.split(at_h.mass + float(at_h.weights @ (gap >= 0.0)))
+        band, above, rounding = at_h, 0.0, 0.0
+        if self._index is not None:
+            band, above, rounding = self._deficit_band(at_h, h, excess)
+            gap = band.values - h
         # the deficit weights, 0 at and above h; normalised by P, the kernel's
         # absolute mass slack is relative: a neighbouring segment moves alpha
         # by at most that slack, as P/(h - v_k) <= alpha
         deficit = np.minimum(gap, 0.0)
         deficit /= -excess
-        deficit *= w
-        vk, full, tie, _ = upper_mass_split(proj, deficit, 1.0)
-        w_gt = w * full
+        deficit *= band.weights
+        vk, full, tie, _ = upper_mass_split(band.values, deficit, 1.0, above)
+        w_gt = band.weights * full
         tie = np.flatnonzero(tie)
-        mass_gt = float(w_gt.sum())
-        mass_tie = float(w.take(tie).sum())
-        alpha = mass_gt + float(w_gt @ gap) / (h - vk)
+        mass_gt = band.mass + float(w_gt.sum())
+        mass_tie = float(band.weights.take(tie).sum())
+        alpha = mass_gt + ((float(band.moment @ self.vec) - h * band.mass) + float(w_gt @ gap)) / (h - vk)
         alpha = min(max(alpha, mass_gt), mass_gt + mass_tie, 1.0)
+        # the block sums round otherwise than the atoms' own, so alpha may
+        # differ from the full scan's by rounding / (h - v_k). Where that
+        # could move the split below, at alpha = W_> + _MASS_SLACK, the full
+        # scan answers; elsewhere the threshold is the full scan's even if
+        # the selection stops one atom off, as the split below then corrects it
+        if rounding and abs(alpha - mass_gt - _MASS_SLACK) <= rounding / (h - vk) + _SUM_ROUNDING:
+            return self._scan().split_at_level(h)
         # the slack, plus the rounding of the kernel's mass sums
         if alpha - mass_gt <= 2.0 * _MASS_SLACK:
-            return self._scan(alpha)
-        return self._over_all_atoms(alpha, vk, min(alpha - mass_gt, mass_tie), full, tie)
+            return self.split(alpha)
+        return band.split(alpha, vk, min(alpha - mass_gt, mass_tie), full, tie)
+
+    def _scan(self) -> EmpiricalProjection:
+        """This law without the block index: every query scans all atoms."""
+        law = EmpiricalProjection(self.measure, self.vec)
+        law.__dict__["_index"] = None
+        return law
+
+    def _deficit_band(self, at_h: _Cut, h: float, excess: float) -> tuple[_Cut, float, float]:
+        """The cut of the blocks that can hold v_k, the deficit above it over P, and the rounding of block sums.
+
+        A block's deficit is sum w_i (h - v_i)_+: 0 wholly above h, read
+        off the atoms of the blocks that h cuts, and h mass - <moment, v>
+        wholly below. That last sum differs from the sum over the atoms'
+        computed projections by at most ``_MOMENT_ROUNDING`` of (|h| + max
+        |<x, v>|) mass, and so does P, which counts the blocks wholly above
+        h by their moments; the bracket is widened by both, relative to P.
+        The rounding returned bounds both, in units of mass times value.
+        """
+        blocks, vec = self._index, self.vec
+        deficit = h * blocks.mass - blocks.moment @ vec
+        deficit[at_h.whole] = 0.0
+        deficit[at_h.blocks] = (at_h.weights * np.maximum(h - at_h.values, 0.0)).reshape(-1, _BLOCK).sum(axis=1)
+        np.maximum(deficit, 0.0, out=deficit)
+        deficit /= excess
+        rounding = 2.0 * _MOMENT_ROUNDING * (abs(h) + float((blocks.extent @ np.abs(vec)).max()))
+        band = self._cut(*self._bracket(deficit, 1.0, _MASS_SLACK + rounding / excess))
+        return band, float(deficit @ band.whole), rounding
 
 
 @dataclass(frozen=True)
@@ -359,6 +455,11 @@ class GaussianProjection:
 
 
 _MASS_SLACK = 1e-12  # the tail kernel's slack: mass-sum rounding never moves a threshold down
+# support-level windows, as shares of the projected spread: a level this far
+# beyond the farthest projection or below the mean has no alpha, and one
+# this close above the mean is at the mean
+_LEVEL_RANGE = 1e-9
+_AT_MEAN = 1e-13
 # candidate sets this small are finished by a stable sort and a cumsum;
 # larger ones are sampled at this many evenly strided positions
 _SELECT_BASE = 256
@@ -473,6 +574,21 @@ _MORTON_BITS = 10  # bits per coordinate in each of the two Morton digits
 # for products that underflow
 _ROUNDING = 16 * np.finfo(float).eps
 _TINY = np.finfo(float).tiny
+# a block's sum of w_i (h - v_i) from its sums, h mass - <moment, v>,
+# against the sum over its atoms' computed projections, in ulps of (|h| +
+# max |<x, v>|) mass: 64 for the mass's and the moment's sums of 64 terms,
+# 2d for the two dot products and 4 for the product with h and the difference
+_MOMENT_ROUNDING = 80 * np.finfo(float).eps
+# two sums of the same masses, at most 1 in all, in two orders: pairwise
+# summation keeps each within log2(n) < 64 ulps of 1
+_SUM_ROUNDING = 128 * np.finfo(float).eps
+# the query on a measure at which its block index is built. At n = 10^5,
+# d = 2 the build takes about 8 ms and saves 0.6 ms a split and 1.2 ms a
+# support-level conversion, so it pays after 7 to 12 queries (d = 3: 13 ms
+# against 0.3 ms a split). Building once the full scans have cost about as
+# much as the build keeps any run of queries within twice the better of
+# building at once and never building
+_BUILD_AT_QUERY = 10
 
 
 def _spread_bits(d: int) -> np.ndarray:
@@ -494,6 +610,8 @@ class _BlockIndex:
     split. Each block keeps its bounding box (``low``, ``high``), the
     box's largest absolute coordinates (``extent``), its ``mass`` and its
     first ``moment`` sum w_i x_i. Memory: about n (d + 1) doubles.
+    ``bounds`` gives each block's interval of projections and ``cut``
+    reads a law at a level from them.
     """
 
     points: np.ndarray
@@ -541,31 +659,38 @@ class _BlockIndex:
         pad = _ROUNDING * (self.extent @ np.abs(vec)) + _TINY
         return self.low @ up + self.high @ down - pad, self.high @ up + self.low @ down + pad
 
-    def split(self, vec: np.ndarray, alpha: float) -> TailSplit:
-        """The upper-alpha split of <X, vec>, reading only the blocks it cuts.
-
-        Each block's projections lie in an interval read off its box. The
-        threshold lies between the upper quantiles of the blocks' lower
-        and upper ends (each end standing for its block's mass), taken at
-        alpha plus and minus ``_MASS_SLACK`` so that no rounding of a mass
-        sum moves either past it. Blocks wholly above that bracket count
-        by their sums, blocks wholly below it not at all, and
-        ``upper_mass_split`` runs on the atoms of the rest. A row's
-        projection does not depend on which rows are projected with it,
-        so the threshold is the full scan's, bit for bit.
-        """
-        lo, hi = self.bounds(vec)
-        floor = upper_mass_split(lo, self.mass, alpha + _MASS_SLACK)[0]
-        ceiling = upper_mass_split(hi, self.mass, alpha - _MASS_SLACK)[0]
-        whole = lo > ceiling
-        cut = (hi >= floor) & ~whole
-        mass = float(self.mass @ whole)
+    def cut(self, vec: np.ndarray, whole: np.ndarray, cut: np.ndarray) -> _Cut:
+        """The half-space primitive: the ``whole`` blocks by their sums, the ``cut`` blocks' atoms projected."""
         points = self.points[cut].reshape(-1, vec.size)
-        weights = self.weights[cut].reshape(-1)
-        values = points @ vec
-        threshold, full, tie, residual = upper_mass_split(values, weights, alpha, mass)
+        return _Cut(
+            float(self.mass @ whole), whole @ self.moment, points, self.weights[cut].reshape(-1), points @ vec,
+            whole, cut,
+        )
+
+
+@dataclass(frozen=True, eq=False)
+class _Cut:
+    """A projected law read at a level: whole blocks above it by their sums, the rest atom by atom.
+
+    ``mass`` and ``moment`` (sum of w_i x_i) sum the blocks wholly above
+    the level; ``points``, ``weights`` and ``values`` (their projections)
+    are the candidate atoms, those of the blocks the level cuts. With an
+    index, ``whole`` and ``blocks`` mark those two sets of blocks; without
+    one both are None, the sums 0 and every atom a candidate.
+    """
+
+    mass: float
+    moment: np.ndarray
+    points: np.ndarray
+    weights: np.ndarray
+    values: np.ndarray
+    whole: np.ndarray | None = None
+    blocks: np.ndarray | None = None
+
+    def split(self, alpha: float, threshold: float, residual: float, full: np.ndarray, tie: np.ndarray) -> TailSplit:
+        """The split whose threshold the kernel found among these candidates."""
         return TailSplit(
-            alpha, threshold, residual, mass, whole @ self.moment, points, weights, values, full, np.flatnonzero(tie)
+            alpha, threshold, residual, self.mass, self.moment, self.points, self.weights, self.values, full, tie
         )
 
 
@@ -659,10 +784,19 @@ class EmpiricalMeasure:
 
     @cached_property
     def _blocks(self) -> _BlockIndex | None:
-        """The block index of a large low-dimensional cloud, built at its first tail split."""
+        """The block index of a large low-dimensional cloud, built when first read."""
         if self.dim > len(_BLOCK_MIN_ATOMS) or self.size < _BLOCK_MIN_ATOMS[self.dim - 1]:
             return None
         return _BlockIndex.build(self.points, self.weights)
+
+    def _index(self) -> _BlockIndex | None:
+        """The block index once built; the first ``_BUILD_AT_QUERY`` - 1 queries that ask scan all atoms."""
+        state = vars(self)  # the frozen measure's cache, as for its cached properties
+        if "_blocks" not in state:
+            state["_queries"] = state.get("_queries", 0) + 1
+            if state["_queries"] < _BUILD_AT_QUERY:
+                return None
+        return self._blocks
 
     def project(self, vec) -> EmpiricalProjection:
         """Law of <X, vec> for any spatial vector: values in atom order."""
@@ -695,11 +829,12 @@ class EmpiricalMeasure:
         """Barycenter of the measure restricted to the half-space."""
         if _is_whole_space(halfspace, self.dim):
             return np.array(self.mean())
-        inside = self.project(halfspace.direction.vec).values >= halfspace.offset
-        mass = float(self.weights[inside].sum())
+        cut = self.project(halfspace.direction.vec)._cut(halfspace.offset)
+        inside = cut.values >= halfspace.offset
+        mass = cut.mass + float(cut.weights[inside].sum())
         if mass <= 0.0:
             raise ZeroMass(f"half-space at offset {halfspace.offset!r} carries no mass")
-        return (self.weights[inside] @ self.points[inside]) / mass
+        return (cut.moment + cut.weights[inside] @ cut.points[inside]) / mass
 
     def affine_image(self, matrix, shift=None) -> "EmpiricalMeasure":
         """Push-forward under y = M x + b; weights are unchanged."""

@@ -111,8 +111,6 @@ class TestDepthCommand:
             assert all(len(set(codes)) == 1 for codes in rows), (angle, rows)
             assert {codes[0] for codes in rows} == {0, 2}
 
-    @pytest.mark.xfail(strict=True, reason="represent recomputes the standardized offset of the "
-                       "half-space it returns; its mass can underflow a few ulps before the depth does")
     def test_gaussian_commands_agree_at_the_last_positive_depth(self, capsys, session_law):
         path, mu = session_law
         for angle in (0.05 * math.pi, 0.2 * math.pi):
