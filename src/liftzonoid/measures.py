@@ -320,11 +320,11 @@ class EmpiricalProjection:
         at the ends of the range, is ``split`` called.
         """
         top, low = self._extremes()
-        mean = float(self.measure.mean() @ self.vec)
         spread = top - low
         rounding = 4.0 * math.ulp(max(top, -low))  # of a level or the mean: ulps of the largest |value|
         if h - top > _LEVEL_RANGE * spread + rounding:
             raise NoSolution("support level exceeds the farthest atom projection")
+        mean = self._mean_near(h, _LEVEL_RANGE * spread + rounding)
         if mean - h > _LEVEL_RANGE * spread + rounding:
             raise NoSolution("support level lies below the mean projection")
         if h >= top:
@@ -366,6 +366,23 @@ class EmpiricalProjection:
         if alpha - mass_gt <= 2.0 * _MASS_SLACK:
             return self.split(alpha)
         return band.split(alpha, vk, min(alpha - mass_gt, mass_tie), full, tie)
+
+    def _mean_near(self, h: float, window: float) -> float:
+        """The mean of V as the full scan sums it, sum w_i <x_i, v>, where it decides h's place.
+
+        The mean vector's <mean, v> rounds otherwise, by up to about (n +
+        d) ulps of sum_j max|x_j| |v_j|, which is far more than the
+        projections' own ulps when they cancel. With an index it stands in
+        for the sum only for a level farther than ``window`` plus that
+        rounding from it, where both sums put h on the same side of every
+        window; the atoms are projected only for a level that close.
+        """
+        if self._index is not None:
+            near = float(self.measure.mean() @ self.vec)
+            reach = float(self._index.extent.max(axis=0) @ np.abs(self.vec))
+            if abs(h - near) > window + 2.0 * (self.weights.size + self.vec.size) * np.finfo(float).eps * reach + _TINY:
+                return near
+        return float(self.weights @ self.values)
 
     def _scan(self) -> EmpiricalProjection:
         """This law without the block index: every query scans all atoms."""

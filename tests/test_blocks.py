@@ -209,6 +209,26 @@ def test_duplicates_split_across_blocks():
     _assert_halfspaces_match_full_scan(mu, u, [dup, np.nextafter(dup, np.inf), np.nextafter(dup, -np.inf)])
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_levels_at_the_mean_of_cancelling_projections(seed):
+    # tied atoms on the diagonal project to rounding noise on (1, -1): the
+    # mean vector's <mean, v> then rounds by ulps of the coordinates, not of
+    # the projections, and must not put the alpha = 1 support below the mean
+    rng = np.random.default_rng([23, seed])
+    n = _BLOCK_MIN_ATOMS[1] + int(rng.integers(0, 3000))
+    t = rng.integers(0, 7, n) * (0.3 * 10.0 ** int(rng.integers(-4, 0)))
+    w = rng.integers(1, 5, n).astype(float)
+    mu = EmpiricalMeasure(np.stack([t, t], axis=1), w / w.sum())
+    assert mu._blocks is not None
+    full, u = _unindexed(mu), Direction.of([1.0, -1.0])
+    values = mu.points @ u.vec
+    levels = [support_trimmed(mu, TrimmedRegionQuery(1.0, u)), float(mu.weights @ values)]
+    levels.append(float(np.nextafter(values.max(), -np.inf)))
+    _assert_levels_match_full_scan(mu, full, u, levels)
+    for h in levels:
+        assert 0.0 < mu.project(u.vec).split_at_level(h).alpha <= 1.0
+
+
 def test_alpha_at_a_cumulative_block_mass():
     # sorted 1-D atoms fill the blocks in order, so k whole blocks carry
     # exactly the top k * 64 / n of the mass
