@@ -37,7 +37,6 @@ from .measures import (
     HalfSpace,
     as_vector,
 )
-from .normal import normal_cdf, normal_sf
 from .zonoid import TrimmedRegionQuery, support_trimmed, trimmed_boundary_point
 
 
@@ -181,58 +180,3 @@ def convert_coords(mu, coords: BarycentricCoords, kind) -> BarycentricCoords:
     else:
         scalar = mu.upper_quantile(u, alpha) if split is None else split.threshold
     return BarycentricCoords(kind=kind, scalar=scalar, direction=u)
-
-
-def _upper_orthant(c1: float, c2: float, rho: float) -> float:
-    """P(Z1 >= c1, Z2 >= c2) for standard normals with correlation |rho| < 1.
-
-    Owen's T form of the bivariate normal orthant (Owen 1956). A zero
-    offset takes the limit from above: T(0, +-inf) = +-1/4.
-    """
-    if c1 == 0.0 and c2 == 0.0:
-        return 0.25 + math.asin(rho) / (2.0 * math.pi)
-    from scipy.special import owens_t  # no CLI command reaches this; kept off the start-up path
-
-    root = math.sqrt(1.0 - rho * rho)
-
-    def term(c, other):
-        slope = other - rho * c
-        if c == 0.0:
-            return math.copysign(0.25, slope)
-        return float(owens_t(c, slope / (c * root)))
-
-    beta = 0.5 if (c1 < 0.0) != (c2 < 0.0) else 0.0
-    return 0.5 * (normal_sf(c1) + normal_sf(c2)) - term(c1, c2) - term(c2, c1) - beta
-
-
-def verify_uniqueness(mu, first: HalfSpace, second: HalfSpace) -> float:
-    """Mass of the symmetric difference of two half-spaces under ``mu``.
-
-    Exact for every measure: a finite sum for empirical measures; for
-    Gaussians sf(c1) + sf(c2) - 2 P(Z1 >= c1, Z2 >= c2) at the
-    standardized offsets, with the orthant probability from Owen's T.
-    """
-    if isinstance(mu, EmpiricalMeasure):
-        # the whole space's offset -inf is below every value
-        in_first = mu.project(first.direction.vec).values >= first.offset
-        in_second = mu.project(second.direction.vec).values >= second.offset
-        return float(mu.weights[in_first != in_second].sum())
-    if not isinstance(mu, GaussianMeasure):
-        raise TypeError(f"unsupported measure type {type(mu).__name__}")
-    if first.is_whole_space or second.is_whole_space:
-        if first.is_whole_space and second.is_whole_space:
-            return 0.0
-        other = second if first.is_whole_space else first
-        return 1.0 - mu.halfspace_mass(other)
-    p1 = mu.project(first.direction.vec)
-    p2 = mu.project(second.direction.vec)
-    c1 = (first.offset - p1.mean) / p1.std
-    c2 = (second.offset - p2.mean) / p2.std
-    cov = mu.covariance
-    corr = float(first.direction.vec @ cov @ second.direction.vec) / (p1.std * p2.std)
-    if corr >= 1.0 - 1e-12:
-        return abs(normal_cdf(c1) - normal_cdf(c2))
-    if corr <= -1.0 + 1e-12:
-        both = max(0.0, normal_cdf(-c2) - normal_cdf(c1))
-        return normal_sf(c1) + normal_sf(c2) - 2.0 * both
-    return normal_sf(c1) + normal_sf(c2) - 2.0 * _upper_orthant(c1, c2, corr)

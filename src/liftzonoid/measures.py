@@ -61,7 +61,7 @@ from .errors import (
     NoSolution,
     ZeroMass,
 )
-from .normal import g_inverse, g_ratio, isoperimetric, normal_cdf, normal_pdf, normal_quantile, normal_sf
+from .normal import g_inverse, g_ratio, normal_cdf, normal_pdf, normal_quantile, normal_sf, radius
 
 log = logging.getLogger("liftzonoid")
 
@@ -428,11 +428,8 @@ class GaussianProjection:
         return self.std * normal_pdf(c) + s * normal_cdf(c)
 
     def tail_mean(self, alpha: float) -> float:
-        """mean + std isoperimetric(alpha) / alpha; the mean at alpha = 1."""
-        alpha = _check_alpha(alpha)
-        if alpha == 1.0:
-            return self.mean
-        return self.mean + self.std * isoperimetric(alpha) / alpha
+        """mean + std radius(alpha); the mean at alpha = 1."""
+        return self.mean + self.std * radius(_check_alpha(alpha))
 
     def upper_quantile(self, alpha: float) -> float:
         """The a with P(V >= a) = alpha; -inf when alpha = 1."""

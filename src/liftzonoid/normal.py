@@ -102,12 +102,16 @@ def radius(alpha: float) -> float:
 
     Strictly decreasing on (0, 1]: grows like |quantile(alpha)| as
     alpha -> 0 and reaches 0 at alpha = 1, where the trimmed region
-    collapses to the mean.
+    collapses to the mean. Evaluated as G(quantile(alpha)), by the
+    identity r(Phi(u)) = G(u), so the division by a tiny alpha and the
+    density's underflow never enter.
     """
     alpha = float(alpha)
     if math.isnan(alpha) or alpha <= 0.0 or alpha > 1.0:
         raise DomainError(f"radius: alpha={alpha!r} outside (0, 1]")
-    return isoperimetric(alpha) / alpha
+    if alpha == 1.0:
+        return 0.0
+    return g_ratio(normal_quantile(alpha))
 
 
 def _laplace_fraction(x: float) -> float:

@@ -22,7 +22,7 @@ from .measures import (
     GaussianMeasure,
     HalfSpace,
 )
-from .normal import g_inverse, g_ratio, normal_cdf, normal_quantile, radius
+from .normal import g_inverse, g_ratio, isoperimetric, normal_cdf, normal_quantile, radius
 from .sampling import direction_grid, task_stream
 from .zonoid import TrimmedRegionQuery, support_trimmed, support_zonoid, trimmed_boundary_point
 
@@ -67,45 +67,64 @@ def _random_empirical(seed: int, task: int) -> EmpiricalMeasure:
     return EmpiricalMeasure(points, weights / weights.sum())
 
 
+def _scales(mu) -> tuple[float, float]:
+    """(spread, reach): the measure's length scale, and that plus |mean|.
+
+    Errors are divided by one of them, so a property's verdict does not
+    depend on the units of the data.
+    """
+    if isinstance(mu, EmpiricalMeasure):
+        spread = mu.radius
+    else:
+        spread = float(np.linalg.norm(mu.factor, 2))
+    return spread, spread + float(np.linalg.norm(mu.mean()))
+
+
 def _theorem1_single(arg):
     mu, seed, task = arg
     dirs = direction_grid(mu.dim, 24, seed=seed + 7 * task)
     mean = mu.mean()
+    spread, reach = _scales(mu)
     err_support = 0.0
     err_nesting = 0.0
     err_reflect = 0.0
     err_cont = 0.0
     err_limit = 0.0
+    checked = 0
     centered = mu.affine_image(np.eye(mu.dim), -mean)
     alphas = np.linspace(0.05, 1.0, 20)
     for row in dirs:
         u = Direction.of(row)
         minus = Direction.of(-row)
         gap = support_zonoid(mu, u) - support_zonoid(mu, minus) - float(mean @ u.vec)
-        err_support = max(err_support, abs(gap))
+        err_support = max(err_support, abs(gap) / reach)
         values = [support_trimmed(mu, TrimmedRegionQuery(float(a), u)) for a in alphas]
         rises = np.diff(values)
-        err_nesting = max(err_nesting, float(max(0.0, rises.max())))
+        err_nesting = max(err_nesting, float(max(0.0, rises.max())) / reach)
         for a in (0.1, 0.25, 0.5, 0.75, 0.9):
             left = a * support_trimmed(centered, TrimmedRegionQuery(a, u))
             right = (1.0 - a) * support_trimmed(centered, TrimmedRegionQuery(1.0 - a, minus))
-            err_reflect = max(err_reflect, abs(left - right))
+            err_reflect = max(err_reflect, abs(left - right) / reach)
         for a in (0.35, 0.5, 0.75):
             base = support_trimmed(mu, TrimmedRegionQuery(a, u))
             for da in (-1e-4, 1e-4):
                 near = support_trimmed(mu, TrimmedRegionQuery(a + da, u))
-                err_cont = max(err_cont, abs(near - base))
+                err_cont = max(err_cont, abs(near - base) / spread)
         if isinstance(mu, EmpiricalMeasure):
             proj = mu.points @ u.vec
             order = np.argsort(proj)
-            if proj[order[-1]] - proj[order[-2]] > 1e-6:
-                far = mu.points[order[-1]]
-                bp = trimmed_boundary_point(mu, TrimmedRegionQuery(1e-4, u))
-                err_limit = max(err_limit, float(np.linalg.norm(bp - far)))
-    return err_support, err_nesting, err_reflect, err_cont, err_limit
+            if proj[order[-1]] > proj[order[-2]]:
+                # below the farthest atom's weight the upper tail is that atom alone
+                far = order[-1]
+                bp = trimmed_boundary_point(mu, TrimmedRegionQuery(0.5 * mu.weights[far], u))
+                err_limit = max(err_limit, float(np.linalg.norm(bp - mu.points[far])) / reach)
+                checked += 1
+    return err_support, err_nesting, err_reflect, err_cont, err_limit, checked
 
 
 def _theorem1(measure, seed: int, samples: int, workers: int) -> dict:
+    if isinstance(measure, EmpiricalMeasure) and measure.affine_rank == 0:
+        raise DegenerateMeasure("all atoms coincide; no direction has a farthest atom")
     measures = [_random_empirical(seed, i) for i in range(6)] if measure is None else [measure]
     rows = _map_tasks(
         _theorem1_single, [(mu, seed, i) for i, mu in enumerate(measures)], workers
@@ -118,7 +137,10 @@ def _theorem1(measure, seed: int, samples: int, workers: int) -> dict:
         _prop("support-continuity-in-alpha", agg[3], 1e-3),
     ]
     if not isinstance(measures[0], GaussianMeasure):  # a Gaussian has no farthest atom
-        props.append(_prop("small-alpha-farthest-atom", agg[4], 1e-6))
+        checked = sum(row[5] for row in rows)
+        props.append(
+            _prop("small-alpha-farthest-atom", agg[4], 1e-6, enough=checked > 0, checked=checked)
+        )
     return _finish("theorem1", seed, props, n_measures=len(measures))
 
 
@@ -150,9 +172,7 @@ def _mc_barycenter_task(arg):
 
 def _gaussian(measure, seed: int, samples: int, workers: int) -> dict:
     alphas = np.linspace(0.01, 0.99, 49)
-    chain = max(
-        abs(g_ratio(normal_quantile(float(a))) - radius(float(a))) for a in alphas
-    )
+    chain = max(abs(isoperimetric(float(a)) / float(a) - radius(float(a))) for a in alphas)
     half = abs(radius(0.5) - math.sqrt(2.0 / math.pi))
     rng = task_stream(seed, 0)
     trimmed = 0.0
@@ -195,11 +215,12 @@ def _roundtrip_single(arg):
     u = rng.standard_normal(mu.dim)
     u /= np.linalg.norm(u)
     x = mu.mean() + (mu.factor @ u) * float(rng.uniform(0.05, 3.0))
+    reach = _scales(mu)[1]
     worst = 0.0
     for kind in CoordKind:
         c = coords_from_point(mu, x, kind)
         back = point_from_coords(mu, c)
-        worst = max(worst, float(np.linalg.norm(back - x)) / (1.0 + float(np.linalg.norm(x))))
+        worst = max(worst, float(np.linalg.norm(back - x)) / reach)
     return worst
 
 

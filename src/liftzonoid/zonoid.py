@@ -49,11 +49,14 @@ class LiftDirection:
 
     @classmethod
     def of(cls, t: float, spatial) -> "LiftDirection":
+        t = float(t)
+        if not math.isfinite(t):  # an infinite t would normalize to a NaN
+            raise NonFinite(f"lift coordinate t must be finite, got {t!r}")
         u = as_vector(spatial, name="lift direction")
-        n = math.hypot(float(t), float(np.linalg.norm(u)))
+        n = math.hypot(t, float(np.linalg.norm(u)))
         if n == 0.0:
             raise DomainError("cannot normalize the zero lift direction")
-        return cls(float(t) / n, u / n)
+        return cls(t / n, u / n)
 
 
 @dataclass(frozen=True)

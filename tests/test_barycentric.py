@@ -5,7 +5,6 @@ import warnings
 
 import numpy as np
 import pytest
-import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -30,15 +29,11 @@ from liftzonoid import (
     represent,
     support_trimmed,
     trimmed_boundary_point,
-    verify_uniqueness,
     ZeroMass,
 )
 
 G_INV_HALF = 0.5179127159921794137   # G(u) = 1/2 at this u
 TAIL_MEAN_13 = 1.770327832359651066  # E[Z | Z >= 1.3]
-# symmetric difference of {z1 >= 0.4} and {z2 >= -0.2} under N(0, I2),
-# frozen from the independent-orthant closed form
-ORTHANT_SYMMDIFF = 0.5246373641611072829
 
 
 class TestCoordsValidation:
@@ -245,76 +240,6 @@ class TestFormConsistency:
         dep = coords_from_point(std2, x, CoordKind.DEPTH)
         assert off.scalar == pytest.approx(-g_inverse(0.65), abs=1e-9)
         assert dep.scalar == pytest.approx(normal_cdf(-off.scalar), abs=1e-9)
-
-
-class TestVerifyUniqueness:
-    def test_identical_halfspaces(self, std2):
-        h = HalfSpace(Direction([1.0, 0.0]), 0.3)
-        assert verify_uniqueness(std2, h, h) == 0.0
-
-    def test_parallel_closed_form(self, std2):
-        # same direction, offsets 0 and 1: symmetric difference is the slab,
-        # mass cdf(1) - cdf(0)
-        a = HalfSpace(Direction([1.0, 0.0]), 0.0)
-        b = HalfSpace(Direction([1.0, 0.0]), 1.0)
-        expected = normal_cdf(1.0) - 0.5
-        assert verify_uniqueness(std2, a, b) == pytest.approx(expected,
-                                                              abs=1e-12)
-
-    def test_antiparallel_closed_form(self, std2):
-        # {x1 >= 0} vs {-x1 >= 0}: overlap only on the null set {x1 = 0},
-        # so the symmetric difference has full mass
-        a = HalfSpace(Direction([1.0, 0.0]), 0.0)
-        b = HalfSpace(Direction([-1.0, 0.0]), 0.0)
-        assert verify_uniqueness(std2, a, b) == pytest.approx(1.0, abs=1e-12)
-
-    def test_orthogonal_monte_carlo(self, std2):
-        # once a Monte-Carlo estimate; now the exact Owen's T orthant
-        a = HalfSpace(Direction([1.0, 0.0]), 0.4)
-        b = HalfSpace(Direction([0.0, 1.0]), -0.2)
-        assert verify_uniqueness(std2, a, b) == pytest.approx(ORTHANT_SYMMDIFF,
-                                                              abs=1e-14)
-
-    def test_oblique_against_scipy_orthant(self, std2):
-        # correlated projections, zero offsets included, against P(A cap B)
-        # integrated by quadrature: int_a^inf pdf(z) sf((b - rho z)/s) dz
-        u1 = Direction([1.0, 0.0])
-        for angle in (0.3, 0.8, 2.0, 2.9):
-            u2 = Direction([math.cos(angle), math.sin(angle)])
-            rho = float(u1.vec @ u2.vec)
-            root = math.sqrt(1.0 - rho * rho)
-            for a, b in [(0.2, -0.1), (-1.3, 0.6), (0.0, 0.7), (0.7, 0.0),
-                         (0.0, -0.7), (-0.7, 0.0), (0.0, 0.0)]:
-                both = scipy.integrate.quad(
-                    lambda z: math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
-                    * (1.0 - normal_cdf((b - rho * z) / root)),
-                    a, math.inf, epsabs=1e-15, epsrel=1e-13, limit=200,
-                )[0]
-                exact = (1.0 - normal_cdf(a)) + (1.0 - normal_cdf(b)) - 2.0 * both
-                got = verify_uniqueness(std2, HalfSpace(u1, a), HalfSpace(u2, b))
-                assert got == pytest.approx(exact, abs=1e-12), (angle, a, b)
-
-    def test_empirical_exact(self, square):
-        # atom measure: the difference mass is a finite sum, no sampling
-        a = HalfSpace(Direction([1.0, 0.0]), 0.5)
-        b = HalfSpace(Direction([0.0, 1.0]), 0.5)
-        # A = right pair, B = top pair; symmetric difference holds 2 atoms
-        assert verify_uniqueness(square, a, b) == pytest.approx(0.5, abs=1e-15)
-
-    def test_empirical_identical_sets(self, square):
-        # different offsets that capture the same atoms are equivalent
-        a = HalfSpace(Direction([1.0, 0.0]), 0.5)
-        b = HalfSpace(Direction([1.0, 0.0]), 0.9)
-        assert verify_uniqueness(square, a, b) == 0.0
-
-    def test_whole_space_vs_halfspace(self, std2):
-        w = HalfSpace.whole_space(2)
-        h = HalfSpace(Direction([1.0, 0.0]), 0.0)
-        assert verify_uniqueness(std2, w, h) == pytest.approx(0.5, abs=1e-12)
-
-    def test_two_whole_spaces(self, std2):
-        w = HalfSpace.whole_space(2)
-        assert verify_uniqueness(std2, w, w) == 0.0
 
 
 @st.composite

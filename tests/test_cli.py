@@ -267,6 +267,14 @@ class TestSupportCommand:
             2.5 / np.sqrt(17.0), rel=1e-12
         )
 
+    @pytest.mark.parametrize("t", ["inf", "-inf"])
+    def test_infinite_lift_t_is_named(self, capsys, square_csv, t):
+        code, out, err = run_cli(capsys, "support", "--measure", square_csv,
+                                 "--direction", "1,0", f"--lift-t={t}")
+        assert code == 1
+        assert out == ""
+        assert err == f"error: lift coordinate t must be finite, got {t}\n"
+
     def test_alpha_and_lift_conflict(self, capsys, square_csv):
         code, _, err = run_cli(capsys, "support", "--measure", square_csv,
                                "--direction", "1,0", "--alpha", "0.5",
@@ -517,6 +525,17 @@ class TestVerifyCommand:
     def test_unknown_suite_exit_1(self, capsys):
         code, _, _ = run_cli(capsys, "verify", "--suite", "wat")
         assert code == 1
+
+    @pytest.mark.parametrize("rows", ["0.5,2\n", "0.5,2\n0.5,2\n"])
+    def test_theorem1_on_coincident_atoms_exit_1(self, capsys, tmp_path, rows):
+        # one atom once crashed with an IndexError, two checked no direction
+        p = tmp_path / "coincident.csv"
+        p.write_text(rows)
+        code, out, err = run_cli(capsys, "verify", "--suite", "theorem1", "--measure", str(p))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "coincide" in err
 
     def test_deterministic_across_workers(self, tmp_path, capsys):
         outs = []

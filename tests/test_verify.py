@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from liftzonoid import GaussianMeasure, InputFormatError
+from liftzonoid import EmpiricalMeasure, GaussianMeasure, InputFormatError, support_trimmed
 from liftzonoid.verify import SUITES, run_suite
 
 
@@ -55,6 +55,47 @@ def test_theorem1_gaussian_reflection_fails_when_centering_is_broken(monkeypatch
     report = run_suite("theorem1", measure=mu, seed=1)
     assert not report["passed"]
     assert not _by_name(report)["centered-reflection"]["passed"]
+
+
+def _cloud(scale, n=50):
+    pts = np.random.default_rng(5).standard_normal((n, 2)) + [0.3, -0.2]
+    return EmpiricalMeasure(pts * scale, np.full(n, 1.0 / n))
+
+
+def _law(scale):
+    return GaussianMeasure.from_covariance(np.array([1.0, -2.0]) * scale,
+                                           np.array([[2.0, 0.3], [0.3, 1.0]]) * scale ** 2)
+
+
+def _verdicts(report):
+    return {p["name"]: p["passed"] for p in report["properties"]}
+
+
+def test_verdicts_do_not_depend_on_the_units():
+    # absolute tolerances once failed these at 1e10 and passed anything at 1e-10
+    runs = [("theorem1", _cloud), ("theorem1", _law), ("roundtrip", _law)]
+    for suite, make in runs:
+        verdicts = [_verdicts(run_suite(suite, measure=make(s), seed=1)) for s in (1e-10, 1.0, 1e10)]
+        assert verdicts[0] == verdicts[1] == verdicts[2], suite
+        assert all(verdicts[1].values()), suite
+
+
+def test_theorem1_reflection_catches_a_shift_at_a_tiny_scale(monkeypatch):
+    mu = _cloud(1e-10)
+    shift = 1e-6 * mu.radius
+
+    def shifted(measure, query):
+        return support_trimmed(measure, query) + shift
+
+    monkeypatch.setattr("liftzonoid.verify.support_trimmed", shifted)
+    report = run_suite("theorem1", measure=mu, seed=1)
+    assert not _by_name(report)["centered-reflection"]["passed"]
+
+
+def test_theorem1_farthest_atom_probes_below_its_weight():
+    # at n = 20000 a fixed alpha of 1e-4 holds two atoms of weight 5e-5
+    prop = _by_name(run_suite("theorem1", measure=_cloud(1.0, n=20_000), seed=1))["small-alpha-farthest-atom"]
+    assert prop["passed"] and prop["checked"] > 0
 
 
 def test_oracle_suite_reports_checked_instances():

@@ -13,6 +13,7 @@ from liftzonoid import (
     EmpiricalMeasure,
     GaussianMeasure,
     LiftDirection,
+    NonFinite,
     TrimmedRegionQuery,
     WrongDimension,
     radius,
@@ -308,6 +309,11 @@ class TestLiftDirectionValidation:
     def test_zero_vector_rejected(self):
         with pytest.raises(DomainError):
             LiftDirection.of(0.0, [0.0, 0.0])
+
+    @pytest.mark.parametrize("t", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_t_rejected(self, t):
+        with pytest.raises(NonFinite, match="lift coordinate t must be finite"):
+            LiftDirection.of(t, [1.0, 0.0])
 
 
 @given(st.integers(min_value=0, max_value=10_000))
