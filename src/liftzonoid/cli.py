@@ -52,7 +52,7 @@ from .normal import (
     radius,
 )
 from .sampling import direction_grid
-from .verify import SUITES, run_suite
+from .verify import SAMPLED_SUITES, SUITES, run_suite
 from .zonoid import (
     LiftDirection,
     TrimmedRegionQuery,
@@ -240,7 +240,10 @@ def cmd_polygon2d(args, mu: Measure) -> int:
 
 
 def cmd_verify(args, mu: Measure | None) -> int:
-    report = run_suite(args.suite, measure=mu, seed=args.seed, samples=args.samples, workers=args.workers)
+    sampled = {} if args.samples is None else {"samples": args.samples}
+    if sampled and args.suite not in SAMPLED_SUITES:
+        raise InputFormatError(f"argument --samples: the {args.suite} suite draws no samples")
+    report = run_suite(args.suite, measure=mu, seed=args.seed, workers=args.workers, **sampled)
     _emit(args, json.dumps(report))
     return 0 if report["passed"] else 3
 
@@ -317,7 +320,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("verify", parents=[src, out, seeded], help="run a verification suite")
     p.add_argument("--suite", choices=SUITES, required=True)
     at_least_one = _int_in(1, math.inf, "must be at least 1")
-    p.add_argument("--samples", type=at_least_one, default=1_000_000)
+    p.add_argument("--samples", type=at_least_one)
     p.add_argument("--workers", type=at_least_one, default=1)
 
     return parser

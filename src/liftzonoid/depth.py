@@ -13,12 +13,6 @@ mass, is a convex representation gamma of x with max_i gamma_i / w_i =
 certificate packs gamma into a bit mask plus the fractional entries. The
 simplex multipliers y on the balance rows give the supporting direction
 of the trimmed region at x: u = -y/||y||.
-
-A reference oracle, kept deliberately independent of the simplex path
-for cross-validation, solves the definition of the trimmed region
-directly: max alpha over loadings 0 <= delta_i <= w_i with
-sum_i delta_i x_i = alpha x and sum_i delta_i = alpha, one exact LP in
-(delta, alpha) handed to the HiGHS backend.
 """
 
 from __future__ import annotations
@@ -178,40 +172,3 @@ def zonoid_depth(mu: EmpiricalMeasure, point) -> DepthCertificate:
         dual_degenerate=res.dual_degenerate or res.degenerate_basis,
         loading=_PackedLoading.pack(mu.weights, delta, mass),
     )
-
-
-def depth_bruteforce_oracle(mu: EmpiricalMeasure, point) -> float:
-    """Depth as one exact LP over the definition of the trimmed region.
-
-    D_alpha is the set of barycenters (1/alpha) sum_i delta_i x_i of
-    loadings 0 <= delta_i <= w_i of mass alpha, so the depth of x is
-
-        max alpha  s.t.  sum_i delta_i x_i - alpha x = 0,
-                         sum_i delta_i - alpha = 0,
-                         0 <= delta_i <= w_i,  0 <= alpha <= 1,
-
-    linear in (delta, alpha) together and always feasible at zero. It is
-    handed to HiGHS, independent of the in-package simplex path, and has
-    no span check, so it also answers on flat clouds.
-    """
-    import scipy.optimize  # the oracle's HiGHS backend; kept off the start-up path
-
-    if not isinstance(mu, EmpiricalMeasure):
-        raise TypeError("depth_bruteforce_oracle expects an empirical measure")
-    x = as_vector(point, dim=mu.dim, name="point")
-    n = mu.size
-    a_eq = np.block([[mu.points.T, -x[:, None]], [np.ones((1, n)), -np.ones((1, 1))]])
-    c = np.zeros(n + 1)
-    c[-1] = -1.0
-    bounds = np.column_stack([np.zeros(n + 1), np.append(mu.weights, 1.0)])
-    lp = scipy.optimize.linprog(
-        c=c,
-        A_eq=a_eq,
-        b_eq=np.zeros(mu.dim + 1),
-        bounds=bounds,
-        method="highs",
-        options={"primal_feasibility_tolerance": 1e-9},
-    )
-    if lp.status != 0:
-        raise NotConverged(f"oracle LP ended with HiGHS status {lp.status}: {lp.message}")
-    return min(1.0, max(0.0, float(lp.x[-1])))

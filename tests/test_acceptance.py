@@ -9,13 +9,13 @@ import time
 
 import numpy as np
 import pytest
+from highs_oracle import depth_bruteforce_oracle
 
 from liftzonoid import (
     Direction,
     EmpiricalMeasure,
     GaussianMeasure,
     TrimmedRegionQuery,
-    depth_bruteforce_oracle,
     g_ratio,
     gaussian_represent,
     normal_quantile,
@@ -248,9 +248,9 @@ def test_criterion_7_verify_determinism(tmp_path, capsys):
         for run in (0, 1):
             for workers in (1, 4):
                 out = tmp_path / f"{suite}-{run}-{workers}.json"
-                code = main(["verify", "--suite", suite, "--seed", "42",
-                             "--samples", "400000", "--workers", str(workers),
-                             "--out", str(out)])
+                samples = ["--samples", "400000"] if suite == "gaussian" else []
+                code = main(["verify", "--suite", suite, "--seed", "42", *samples,
+                             "--workers", str(workers), "--out", str(out)])
                 capsys.readouterr()
                 assert code == 0
                 payloads[(suite, run, workers)] = out.read_bytes()

@@ -470,11 +470,18 @@ class TestPolygonCommand:
 
 class TestVerifyCommand:
     def test_oracle_suite(self, capsys):
-        code, out, _ = run_cli(capsys, "verify", "--suite", "oracle",
-                               "--seed", "3", "--samples", "1000")
+        code, out, _ = run_cli(capsys, "verify", "--suite", "oracle", "--seed", "3")
         assert code == 0
         payload = json.loads(out)
         assert payload["passed"] is True
+
+    @pytest.mark.parametrize("suite", ["theorem1", "roundtrip", "oracle"])
+    def test_samples_on_a_suite_that_draws_none_exit_1(self, capsys, suite):
+        code, out, err = run_cli(capsys, "verify", "--suite", suite, "--samples", "5")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "--samples" in err and suite in err
 
     @pytest.mark.parametrize("samples", ["0", "-5"])
     def test_nonpositive_samples_exit_1(self, capsys, samples):
@@ -516,7 +523,7 @@ class TestVerifyCommand:
     @pytest.mark.parametrize("suite", ["gaussian", "oracle"])
     def test_suite_on_built_in_data_rejects_a_measure(self, capsys, square_csv, suite):
         code, out, err = run_cli(capsys, "verify", "--suite", suite,
-                                 "--measure", square_csv, "--samples", "1000")
+                                 "--measure", square_csv)
         assert code == 1
         assert out == ""
         assert err.startswith("error: ") and len(err.splitlines()) == 1
@@ -542,8 +549,7 @@ class TestVerifyCommand:
         for workers in ("1", "3"):
             path = tmp_path / f"w{workers}.json"
             code = main(["verify", "--suite", "oracle", "--seed", "12",
-                         "--samples", "1000", "--workers", workers,
-                         "--out", str(path)])
+                         "--workers", workers, "--out", str(path)])
             capsys.readouterr()
             assert code == 0
             outs.append(path.read_bytes())
@@ -863,29 +869,52 @@ def test_console_script_installed():
     assert proc.stdout.strip() == "0.398942280401433"
 
 
-def test_commands_run_without_loading_scipy(tmp_path):
+_BLOCKABLE_RUN = """\
+import json, sys
+if sys.argv[1] == "blocked":
+    sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+import liftzonoid.cli as cli
+for argv in json.loads(sys.argv[2]):
+    code = cli.main(argv)
+    print(f"-- exit {code}", flush=True)
+print(sorted(m for m, mod in sys.modules.items() if m.split(".")[0] == "scipy" and mod))
+"""
+
+
+def test_commands_run_without_loading_scipy(tmp_path, std2_json):
     csv = tmp_path / "square.csv"
     csv.write_text(SQUARE_CSV)
-    code = (
-        "import json, sys, liftzonoid.cli as cli\n"
-        "codes = [cli.main(argv) for argv in (\n"
-        "    ['gaussian', 'g', '--', '-3'],\n"
-        f"    ['depth', '--measure', {str(csv)!r}, '--point', '0.2,0.1'],\n"
-        "    ['verify', '--suite=gaussian', '--samples=1000'])]\n"
-        "print(json.dumps([codes, sorted(m for m in sys.modules\n"
-        "                                if m.split('.')[0] == 'scipy')]))\n"
-    )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, timeout=60, env=_src_env())
-    assert proc.returncode == 0, proc.stderr
-    codes, scipy_modules = json.loads(proc.stdout.splitlines()[-1])
-    assert codes == [0, 0, 0]
-    assert scipy_modules == []
+    sq = ["--measure", str(csv)]
+    commands = [
+        ["depth", *sq, "--point", "0.2,0.1"],
+        ["contour", *sq, "--alpha", "0.5", "--directions", "8"],
+        ["support", *sq, "--direction", "1,0", "--alpha", "0.5"],
+        ["barycenter", *sq, "--direction", "1,0", "--offset", "0"],
+        ["represent", "--gaussian", std2_json, "--point", "0.5,0"],
+        ["coords", "--gaussian", std2_json, "--point", "0.5,0", "--to", "offset"],
+        ["gaussian", "g", "--", "-3"],
+        ["polygon2d", *sq],
+        ["verify", "--suite", "theorem1"],
+        ["verify", "--suite", "gaussian", "--samples", "1000"],
+        ["verify", "--suite", "roundtrip"],
+        ["verify", "--suite", "oracle"],
+    ]
+    runs = {
+        mode: subprocess.run([sys.executable, "-c", _BLOCKABLE_RUN, mode, json.dumps(commands)],
+                             capture_output=True, timeout=120, env=_src_env())
+        for mode in ("blocked", "importable")
+    }
+    for proc in runs.values():
+        assert proc.returncode == 0 and b"Traceback" not in proc.stderr, proc.stderr
+    lines = runs["importable"].stdout.decode().splitlines()
+    assert [line for line in lines if line.startswith("-- exit")] == ["-- exit 0"] * len(commands)
+    assert lines[-1] == "[]"  # no command loads scipy even where it could
+    assert runs["blocked"].stdout == runs["importable"].stdout
 
 
 def test_startup_does_not_import_scipy_optimize():
-    code = "import sys, liftzonoid.cli; print('scipy.optimize' in sys.modules)"
+    code = "import sys, liftzonoid.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=60, env=_src_env())
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"

@@ -1,4 +1,4 @@
-"""Zonoid data depth: LP certificate, dual direction, brute-force oracle.
+"""Zonoid data depth: LP certificate, dual direction, HiGHS and facet references.
 
 The worked two-atom example is fully hand-checkable: atoms -1, +1 with
 weight 1/2 each, probed at x = 1/2. The optimal loading is gamma =
@@ -8,6 +8,7 @@ weight 1/2 each, probed at x = 1/2. The optimal loading is gamma =
 import numpy as np
 import pytest
 import scipy.optimize
+from highs_oracle import depth_bruteforce_oracle
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -19,7 +20,6 @@ from liftzonoid import (
     NonFinite,
     NotConverged,
     TrimmedRegionQuery,
-    depth_bruteforce_oracle,
     represent,
     support_trimmed,
     trimmed_boundary_point,
@@ -28,6 +28,7 @@ from liftzonoid import (
 from liftzonoid.depth import check_affine_span
 from liftzonoid.sampling import direction_grid
 from liftzonoid.simplex import solve_bounded_lp
+from liftzonoid.verify import _facet_depth
 
 
 class TestWorkedExample:
@@ -52,6 +53,12 @@ class TestWorkedExample:
     def test_oracle_agrees(self, two_atom):
         val = depth_bruteforce_oracle(two_atom, [0.5])
         assert val == pytest.approx(2.0 / 3.0, abs=1e-12)
+
+    @pytest.mark.parametrize("x, depth", [(0.5, 2.0 / 3.0), (1.5, 0.0), (0.0, 1.0)])
+    def test_facet_depth(self, two_atom, x, depth):
+        # at 0.5 the normal (1, 1), orthogonal to g_1 = (1/2, -1/2), has
+        # support 1 and height 3/2; 1.5 lies outside, 0 is the mean
+        assert _facet_depth(two_atom, np.array([x])) == pytest.approx(depth, abs=1e-15)
 
 
 class TestStatuses:
@@ -209,7 +216,10 @@ class TestOracleAgreement:
         x = (1 - lam) * mu.mean() + lam * pts[int(rng.integers(n))]
         lp = zonoid_depth(mu, x).depth
         oracle = depth_bruteforce_oracle(mu, x)
+        facet = _facet_depth(mu, x)
         assert lp == pytest.approx(oracle, abs=1e-6)
+        assert facet == pytest.approx(lp, abs=1e-12)
+        assert facet == pytest.approx(oracle, abs=1e-9)
 
     @pytest.mark.parametrize("kind, n, d", [
         ("gaussian", 2000, 5),

@@ -178,13 +178,6 @@ def test_radius_limits_and_monotonicity():
     assert radius(1.0) == 0.0
 
 
-def test_radius_chain_identity():
-    # r(alpha) = pdf(q)/cdf(q) at q = quantile(alpha), since cdf(q) = alpha
-    for a in np.linspace(0.02, 0.98, 49):
-        lhs = g_ratio(normal_quantile(a))
-        assert abs(lhs - radius(a)) <= 1e-10
-
-
 @pytest.mark.parametrize("a", [0.0, -0.5, 1.0 + 1e-9, float("inf")])
 def test_isoperimetric_domain(a):
     with pytest.raises(DomainError):

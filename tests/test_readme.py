@@ -33,7 +33,6 @@ def test_tour_values_match_its_comments():
         "depth": pytest.approx(2.0 / 3.0, abs=1e-15), "status": "interior", "dual_direction": [1.0],
         "max_weight_ratio": 1.5, "iterations": 1, "bound_flips": 0, "dual_degenerate": False,
     }
-    assert tour["depth_bruteforce_oracle(mu, [0.5])"] == pytest.approx(2.0 / 3.0, abs=1e-9)
     assert tour["support_trimmed(mu, q)"] == 1.0
     np.testing.assert_array_equal(tour["trimmed_boundary_point(mu, q)"], [1.0])
     assert tour["mu.project(u.vec).tail_mean(0.5)"] == 1.0

@@ -101,7 +101,7 @@ def test_theorem1_farthest_atom_probes_below_its_weight():
 def test_oracle_suite_reports_checked_instances():
     prop = _by_name(run_suite("oracle", seed=0))["lp-depth-matches-bruteforce"]
     assert prop["checked"] == 25
-    assert prop["max_error"] <= 1e-12
+    assert prop["max_error"] <= 1e-12 and prop["tolerance"] == 1e-12
 
 
 def test_oracle_suite_with_no_instances_fails(monkeypatch):
