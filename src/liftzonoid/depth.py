@@ -23,7 +23,7 @@ from enum import Enum
 import numpy as np
 
 from .config import DEFAULT_TOLS
-from .errors import DegenerateMeasure, NotConverged
+from .errors import DegenerateMeasure
 from .measures import Direction, EmpiricalMeasure, as_vector
 from .simplex import solve_bounded_lp
 
@@ -110,6 +110,10 @@ def check_affine_span(mu: EmpiricalMeasure) -> None:
 
 # a depth LP optimum at or below this mass puts the point outside the hull
 _LP_FEASIBILITY = 1e-9
+# a dual |y| * radius at or below this is too short to give a direction
+_NO_DIRECTION = 1e-14
+# x within this many radii of the farthest atom along the direction is on the hull
+_BOUNDARY_WINDOW = 1e-9
 
 
 def zonoid_depth(mu: EmpiricalMeasure, point) -> DepthCertificate:
@@ -129,17 +133,7 @@ def zonoid_depth(mu: EmpiricalMeasure, point) -> DepthCertificate:
             dual_degenerate=False,
             loading=_PackedLoading.pack(mu.weights, mu.weights, 1.0),
         )
-    n = mu.size
-    A = (mu.points - x).T  # (d, n)
-    try:
-        res = solve_bounded_lp(A, np.zeros(mu.dim), np.ones(n), np.zeros(n), mu.weights)
-    except np.linalg.LinAlgError:  # a basis singular to working precision
-        res = None
-    if res is None or res.status != "optimal":  # b = 0 is feasible: only rounding gets here
-        raise NotConverged(
-            "depth LP lost feasibility to rounding; the atoms lie numerically "
-            "close to a hyperplane"
-        )
+    res = solve_bounded_lp((mu.points - x).T, mu.weights)
     alpha = float(res.objective)
     if alpha <= _LP_FEASIBILITY:
         return DepthCertificate(
@@ -156,11 +150,11 @@ def zonoid_depth(mu: EmpiricalMeasure, point) -> DepthCertificate:
     mass = float(delta.sum())
     y = res.dual
     norm_y = float(np.linalg.norm(y))
-    direction = Direction(-y / norm_y) if norm_y * mu.radius > 1e-14 else None  # y is 1/length
+    direction = Direction(-y / norm_y) if norm_y * mu.radius > _NO_DIRECTION else None  # y is 1/length
     status = DepthStatus.INTERIOR
     if direction is not None:
         proj = mu.points @ direction.vec
-        if float(proj.max()) - float(x @ direction.vec) <= 1e-9 * mu.radius:
+        if float(proj.max()) - float(x @ direction.vec) <= _BOUNDARY_WINDOW * mu.radius:
             status = DepthStatus.BOUNDARY
     return DepthCertificate(
         depth=alpha,

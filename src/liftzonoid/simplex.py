@@ -1,23 +1,28 @@
-"""Bounded dual simplex with a bound-flipping ratio test.
+"""Bounded dual simplex with a bound-flipping ratio test, for the depth LP.
 
-Solves  max c'x  subject to  A x = b,  l <= x <= u,  for LPs with few rows
-and possibly many columns. Every bound must be finite.
+Solves the zonoid depth LP  max sum(x)  subject to  A x = 0,  0 <= x <= u,
+where column i of A is x_i - x and u_i = w_i > 0, so A has few rows and
+possibly many columns.
 
 The start is the signed artificial basis, with the artificials boxed at
-[0, 0], and every nonbasic column on the bound its reduced-cost sign asks
-for. In an all-finite box LP every basis is then dual feasible, so there
-is no phase one: each iteration picks a basic row outside its box and
-minimizes the piecewise-linear dual function
+[0, 0], and every column at its upper bound, as its unit cost asks. Every
+basis is then dual feasible, so there is no phase one: each iteration
+picks a basic row outside its box and minimizes the piecewise-linear dual
+function
 
-    D(y) = b'y + sum_j max(l_j rc_j(y), u_j rc_j(y)),  rc_j(y) = c_j - y'a_j,
+    D(y) = sum_j u_j max(0, rc_j(y)),  rc_j(y) = 1 - y'a_j,
 
-exactly along that row's dual direction. The long-step ratio test passes
-every breakpoint at which D still descends, flipping those columns to
-their other bound, and the column at the last breakpoint enters the basis
-(Koberstein, "The dual simplex method, techniques for a fast and stable
-implementation", 2005). For the depth LP, D(y) is the lift-zonoid support
-function E(1 + <v, X - x>)_+ at v = -y. A row that stays out of its box
-after every flip proves the LP infeasible.
+exactly along that row's dual direction. At v = -y, D(y) is the
+lift-zonoid support function E(1 + <v, X - x>)_+. The long-step ratio
+test passes every breakpoint at which D still descends, flipping those
+columns to their other bound, and the column at the last breakpoint
+enters the basis (Koberstein, "The dual simplex method, techniques for a
+fast and stable implementation", 2005).
+
+The LP is feasible at x = 0, so a row that stays out of its box after
+every flip, or a basis singular to working precision, is an artifact of
+rounding. The solver raises NotConverged where it meets either one, and
+when the iteration cap runs out; it returns only optimal solutions.
 
 The descent usually stops after a few dozen of its thousands of
 breakpoints, so only a prefix of them is ordered: the ``_SELECT_BASE``
@@ -47,15 +52,19 @@ from .measures import _SELECT_BASE
 
 _PIVOT_TOL = 1e-9  # smaller |alpha_rj| defines no breakpoint
 _PRIMAL_TOL = 1e-11  # box violation accepted, relative to the largest bound
-_DUAL_TOL = 1e-11  # reduced-cost slack, relative to the largest cost
+_DUAL_TOL = 2e-11  # reduced-cost slack: 1e-11 relative to 1 + the unit cost
 _DEGENERATE_STREAK = 30
+_ITERATION_CAP = 50  # basis changes allowed per column, counting four spare columns
+# only rounding makes the always-feasible depth LP look infeasible
+_LOST_FEASIBILITY = (
+    "depth LP lost feasibility to rounding; the atoms lie numerically close to a hyperplane"
+)
 
 
 @dataclass
 class SimplexResult:
-    status: str  # "optimal" | "infeasible"
-    x: np.ndarray | None
-    dual: np.ndarray | None
+    x: np.ndarray
+    dual: np.ndarray
     objective: float
     iterations: int  # dual basis changes
     bound_flips: int  # nonbasic columns moved to their other bound
@@ -65,62 +74,51 @@ class SimplexResult:
     degenerate_basis: bool = False
 
 
-def solve_bounded_lp(
-    A,
-    b,
-    c,
-    lower,
-    upper,
-    *,
-    max_iterations: int | None = None,
-) -> SimplexResult:
-    """Maximize c'x subject to A x = b and l <= x <= u, all bounds finite."""
+def solve_bounded_lp(A, upper) -> SimplexResult:
+    """Maximize sum(x) subject to A x = 0 and 0 <= x <= upper.
+
+    Raises NotConverged when rounding leaves a row no ratio test can
+    repair or a basis singular to working precision, or after
+    ``_ITERATION_CAP`` basis changes per column.
+    """
     A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float).reshape(-1)
-    c = np.asarray(c, dtype=float).reshape(-1)
-    lower = np.asarray(lower, dtype=float).reshape(-1)
     upper = np.asarray(upper, dtype=float).reshape(-1)
-    if not (np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))):
-        raise ValueError("solve_bounded_lp needs finite lower and upper bounds")
     m, n = A.shape
-    if max_iterations is None:
-        max_iterations = 200 + 50 * (n + m)
+    max_iterations = _ITERATION_CAP * (n + m + 4)
     # equilibrate rows so that the tolerances below mean the same at any scale
     row_scale = np.abs(A).max(axis=1, initial=0.0)
     row_scale[row_scale == 0.0] = 1.0
     A = A / row_scale[:, None]
-    b = b / row_scale
 
-    # columns n.. are signed artificials boxed at [0, 0]; once they leave
-    # the basis they are fixed, like every column with l = u
-    at_upper = np.concatenate([c > 0.0, np.zeros(m, dtype=bool)])
-    residual = b - A @ np.where(at_upper[:n], upper, lower)
-    cols = np.hstack([A, np.where(residual >= 0.0, 1.0, -1.0) * np.eye(m)])
-    cost = np.concatenate([c, np.zeros(m)])
-    lo = np.concatenate([lower, np.zeros(m)])
+    # every column starts at its upper bound; columns n.. are signed
+    # artificials boxed at [0, 0], fixed once they leave the basis
+    at_upper = np.concatenate([np.ones(n, dtype=bool), np.zeros(m, dtype=bool)])
+    cols = np.hstack([A, np.where(A @ upper <= 0.0, 1.0, -1.0) * np.eye(m)])
+    cost = np.concatenate([np.ones(n), np.zeros(m)])
     hi = np.concatenate([upper, np.zeros(m)])
-    width = hi - lo
-    movable = width > 0.0
+    movable = hi > 0.0
     basis = np.arange(n, n + m)
     nonbasic = np.ones(n + m, dtype=bool)
     nonbasic[basis] = False
-    tol_p = _PRIMAL_TOL * (1.0 + max(float(np.abs(lo).max()), float(np.abs(hi).max())))
-    tol_d = _DUAL_TOL * (1.0 + float(np.abs(c).max(initial=0.0)))
+    tol_p = _PRIMAL_TOL * (1.0 + float(hi.max()))
 
     iterations = flips = degenerate_run = 0
     bland = False
     while True:
-        binv = np.linalg.inv(cols[:, basis])
+        try:
+            binv = np.linalg.inv(cols[:, basis])
+        except np.linalg.LinAlgError:
+            raise NotConverged(_LOST_FEASIBILITY) from None
         y = cost[basis] @ binv
         rc = cost - y @ cols
         # rounding may leave a reduced cost on the wrong side of its bound
-        wrong = nonbasic & movable & np.where(at_upper, rc < -tol_d, rc > tol_d)
+        wrong = nonbasic & movable & np.where(at_upper, rc < -_DUAL_TOL, rc > _DUAL_TOL)
         if wrong.any():
             at_upper ^= wrong
             flips += int(wrong.sum())
-        x = np.where(nonbasic & at_upper, hi, np.where(nonbasic, lo, 0.0))
-        x[basis] = binv @ (b - cols @ x)
-        below = lo[basis] - x[basis]
+        x = np.where(nonbasic & at_upper, hi, 0.0)
+        x[basis] = binv @ -(cols @ x)
+        below = -x[basis]
         above = x[basis] - hi[basis]
         excess = np.maximum(below, above)
         rows = np.flatnonzero(excess > tol_p)
@@ -139,10 +137,10 @@ def solve_bounded_lp(
         alpha = binv[r] @ cols
         slope = np.where(at_upper, sign * alpha, -sign * alpha)
         move = _ratio_test(
-            alpha, rc, slope, nonbasic & movable, at_upper, width, excess[r], tol_p, tol_d, bland
+            alpha, rc, slope, nonbasic & movable, at_upper, hi, excess[r], tol_p, _DUAL_TOL, bland
         )
         if move is None:
-            return SimplexResult("infeasible", None, None, -np.inf, iterations, flips, False)
+            raise NotConverged(_LOST_FEASIBILITY)
         flipped, q = move
         at_upper[flipped] ^= True
         flips += flipped.size
@@ -153,22 +151,20 @@ def solve_bounded_lp(
         at_upper[q] = False
         basis[r] = q
         iterations += 1
-        if abs(rc[q]) <= tol_d:
+        if abs(rc[q]) <= _DUAL_TOL:
             degenerate_run += 1
             bland = bland or degenerate_run >= _DEGENERATE_STREAK
         else:
             degenerate_run = 0
 
-    free = nonbasic & movable
-    free[n:] = False  # degeneracy is judged over real columns only
-    dual_degenerate = bool(np.any(np.abs(rc[free]) <= DEFAULT_TOLS.degenerate))
-    xb, lb, ub = x[basis], lo[basis], hi[basis]
-    on_bound = np.minimum(np.abs(xb - lb), np.abs(xb - ub)) <= DEFAULT_TOLS.degenerate * (1.0 + np.abs(xb))
+    # degeneracy is judged over real columns only: artificials never move
+    dual_degenerate = bool(np.any(np.abs(rc[nonbasic & movable]) <= DEFAULT_TOLS.degenerate))
+    xb = x[basis]
+    on_bound = np.minimum(np.abs(xb), np.abs(xb - hi[basis])) <= DEFAULT_TOLS.degenerate * (1.0 + np.abs(xb))
     degenerate_basis = bool(np.any(on_bound))  # a basic artificial is always on [0, 0]
     x = x[:n].copy()
     return SimplexResult(
-        "optimal", x, y / row_scale, float(c @ x), iterations, flips,
-        dual_degenerate, degenerate_basis,
+        x, y / row_scale, float(np.ones(n) @ x), iterations, flips, dual_degenerate, degenerate_basis
     )
 
 

@@ -49,3 +49,27 @@ def cloud():
         return EmpiricalMeasure(pts, w / w.sum())
 
     return make
+
+
+@pytest.fixture
+def near_flat_fuzz():
+    """Points of the k-th cloud (from 0) of the seed-7 near-flat fuzz.
+
+    Each cloud has d in 2..5, n in d+2..39, and its thinnest axis scaled
+    by 10^-10.5 to 10^-6 before a random rotation.
+    """
+
+    def make(k):
+        rng = np.random.default_rng(7)
+        for _ in range(k + 1):
+            d = int(rng.integers(2, 6))
+            n = int(rng.integers(d + 2, 40))
+            s = 10 ** rng.uniform(-10.5, -6)
+            a = rng.standard_normal((n, d))
+            sc = np.ones(d)
+            sc[-1] = s
+            r = np.linalg.qr(rng.standard_normal((d, d)))[0]
+            pts = (a * sc) @ r.T
+        return pts
+
+    return make

@@ -143,30 +143,32 @@ class TestDepthCommand:
         assert "row 2" in err
 
 
-    @pytest.mark.parametrize("command", [["depth"], ["represent"], ["coords", "--to=depth"]],
-                             ids=["depth", "represent", "coords"])
-    def test_singular_basis_on_a_near_flat_cloud_exits_2(self, capsys, tmp_path, command):
-        # the 248th cloud of a near-flat fuzz (n = 9, d = 5, thickness 4.6e-8):
-        # the depth LP at the midpoint of its first two atoms meets a basis
-        # that is singular to working precision; every command that runs
-        # the LP reports it as a domain condition
-        rng = np.random.default_rng(7)
-        for _ in range(248):
-            d = int(rng.integers(2, 6))
-            n = int(rng.integers(d + 2, 40))
-            s = 10 ** rng.uniform(-10.5, -6)
-            a = rng.standard_normal((n, d))
-            sc = np.ones(d)
-            sc[-1] = s
-            r = np.linalg.qr(rng.standard_normal((d, d)))[0]
-            pts = (a * sc) @ r.T
+    @staticmethod
+    def _run_near_flat(capsys, tmp_path, pts, x, *command):
         p = tmp_path / "flat.csv"
         p.write_text("".join(",".join(map(repr, row)) + "\n" for row in pts.tolist()))
-        point = ",".join(map(repr, (0.5 * (pts[0] + pts[1])).tolist()))
+        point = ",".join(map(repr, x.tolist()))
         code, out, err = run_cli(capsys, *command, "--measure", str(p), f"--point={point}")
         assert code == 2 and out == ""
         assert err.startswith("domain condition: ") and len(err.splitlines()) == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", [["depth"], ["represent"], ["coords", "--to=depth"]],
+                             ids=["depth", "represent", "coords"])
+    def test_singular_basis_on_a_near_flat_cloud_exits_2(self, capsys, tmp_path, near_flat_fuzz,
+                                                         command):
+        # the 248th cloud of a near-flat fuzz (n = 9, d = 5, thickness 4.6e-8):
+        # the depth LP at the midpoint of its first two atoms meets a basis
+        # that is singular to working precision; every command that runs
+        # the LP reports it as a domain condition
+        pts = near_flat_fuzz(247)
+        self._run_near_flat(capsys, tmp_path, pts, 0.5 * (pts[0] + pts[1]), *command)
+
+    def test_unrepairable_row_on_a_near_flat_cloud_exits_2(self, capsys, tmp_path, near_flat_fuzz):
+        # the 75th cloud of the same fuzz (n = 6, d = 2, thickness 2.6e-8): at
+        # its first atom rounding leaves a basic row no ratio test can repair
+        pts = near_flat_fuzz(74)
+        self._run_near_flat(capsys, tmp_path, pts, pts[0], "depth")
 
 
 class TestDimensionMismatch:

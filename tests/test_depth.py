@@ -7,8 +7,7 @@ weight 1/2 each, probed at x = 1/2. The optimal loading is gamma =
 
 import numpy as np
 import pytest
-import scipy.optimize
-from highs_oracle import depth_bruteforce_oracle
+from highs_oracle import depth_bruteforce_oracle, highs_depth_lp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -138,8 +137,7 @@ class TestCertificateInvariants:
         mu = cloud(200 + seed, n=60, d=2)
         x = 0.6 * mu.points[seed] + 0.4 * mu.mean()
         cert = zonoid_depth(mu, x)
-        res = solve_bounded_lp((mu.points - x).T, np.zeros(2), np.ones(60),
-                               np.zeros(60), mu.weights)
+        res = solve_bounded_lp((mu.points - x).T, mu.weights)
         delta = np.maximum(res.x, 0.0)
         np.testing.assert_array_equal(cert.atom_weights, delta / delta.sum())
         assert cert.loading.index.size <= mu.dim
@@ -404,23 +402,6 @@ def test_depth_of_convex_combination_bounded_below(seed):
     assert cert.depth >= min(t, 1.0) - 1e-9
 
 
-def _highs_depth(pts, w, x):
-    """Depth LP handed to HiGHS, rows scaled to unit size (test-only)."""
-    a = (pts - x).T
-    a = a / np.maximum(np.abs(a).max(axis=1, keepdims=True), 1e-300)
-    n = len(w)
-    lp = scipy.optimize.linprog(
-        -np.ones(n),
-        A_eq=a,
-        b_eq=np.zeros(a.shape[0]),
-        bounds=np.column_stack([np.zeros(n), w]),
-        method="highs",
-        options={"primal_feasibility_tolerance": 1e-9, "dual_feasibility_tolerance": 1e-9},
-    )
-    assert lp.status == 0
-    return min(-float(lp.fun), 1.0)
-
-
 @st.composite
 def _depth_instances(draw):
     """A measure and a query inside it, on its hull, or outside it."""
@@ -462,7 +443,7 @@ def test_depth_matches_highs_on_ties_weights_and_flat_clouds(instance):
     mu, x, where = instance
     pts = mu.points
     scale = 1.0 + float(np.abs(pts).max())
-    reference = _highs_depth(pts, mu.weights, x)
+    reference = min(highs_depth_lp((pts - x).T, mu.weights), 1.0)
     cert = zonoid_depth(mu, x)
     assert (cert.status is DepthStatus.OUTSIDE) == (reference <= 1e-9)
     assert (cert.status is DepthStatus.OUTSIDE) == (where == "outside")

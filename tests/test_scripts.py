@@ -4,6 +4,7 @@ Each script runs in a fresh interpreter, as a user starts it; a change to
 the API it uses fails here instead of at the next manual run.
 """
 
+import json
 import os
 import pathlib
 import subprocess
@@ -13,16 +14,16 @@ SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
 SRC = SCRIPTS.parent / "src"
 
 
-def _run(script, *argv, cwd):
+def _run(*argv, cwd):
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, str(SCRIPTS / script), *argv], cwd=cwd, env=env,
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), str(SCRIPTS), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *argv], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=120)
 
 
 def test_depth_contours(tmp_path):
     out = tmp_path / "contours"
-    proc = _run("depth_contours.py", "--n", "200", "--directions", "16",
+    proc = _run(str(SCRIPTS / "depth_contours.py"), "--n", "200", "--directions", "16",
                 "--alphas", "0.25,0.5", "--out", str(out), cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
@@ -38,7 +39,7 @@ def test_depth_contours(tmp_path):
 
 
 def test_barycenter_convergence(tmp_path):
-    proc = _run("barycenter_convergence.py", "--sizes", "1000,4000", cwd=tmp_path)
+    proc = _run(str(SCRIPTS / "barycenter_convergence.py"), "--sizes", "1000,4000", cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[0].split() == ["offset", "N", "kept", "error", "4s/sqrt(k)", "inside"]
@@ -48,3 +49,16 @@ def test_barycenter_convergence(tmp_path):
                                             for n in ("1000", "4000")]
     for row in rows:
         assert 0 < int(row[2]) <= int(row[1]) and row[5] == "yes"
+
+
+def test_depth_scaling(tmp_path):
+    # one small cloud in place of the three large ones
+    proc = _run("-c", "import depth_scaling as s; s.CLOUDS = ((2, 2000),); s.main()", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert set(report) == {"numpy", "cpu", "clouds"}
+    (row,) = report["clouds"]
+    assert set(row) == {"d", "n", "queries", "ms", "ms_median", "iterations", "ratio_test_share"}
+    assert (row["d"], row["n"], row["queries"]) == (2, 2000, 6)
+    assert len(row["ms"]) == len(row["iterations"]) == 6
+    assert 0 < row["ratio_test_share"] < 1

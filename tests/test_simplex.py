@@ -1,11 +1,12 @@
-"""Bounded dual simplex against scipy's HiGHS solver on random programs.
+"""Bounded dual simplex on depth LPs, against scipy's HiGHS solver.
 
-The LP form throughout is max c'x subject to Ax = b, lower <= x <= upper.
+The LP form throughout is the depth LP: max sum(x) subject to A x = 0 and
+0 <= x <= w, where column i of A is x_i - x for atoms x_i of weight w_i.
 """
 
 import numpy as np
 import pytest
-import scipy.optimize
+from highs_oracle import highs_depth_lp
 
 from liftzonoid import simplex
 from liftzonoid.errors import NotConverged
@@ -13,66 +14,53 @@ from liftzonoid.measures import _SELECT_BASE
 from liftzonoid.simplex import solve_bounded_lp
 
 
-def _random_feasible_lp(rng, m, n):
-    """Build an equality-constrained box LP that is feasible by construction."""
-    A = rng.standard_normal((m, n))
-    lower = rng.uniform(-2.0, 0.0, n)
-    upper = lower + rng.uniform(0.5, 3.0, n)
-    x0 = lower + (upper - lower) * rng.uniform(0.1, 0.9, n)
-    b = A @ x0
-    c = rng.standard_normal(n)
-    return A, b, c, lower, upper
+def _depth_lp(rng, kind, d, n):
+    """The depth LP of a Gaussian, weighted or integer-grid cloud at a random query."""
+    if kind == "grid":  # few integer sites, so atoms repeat and ratios tie
+        pts = rng.integers(-3, 4, size=(n, d)).astype(float)
+        w = np.full(n, 1.0 / n)
+    else:
+        pts = rng.standard_normal((n, d))
+        w = rng.uniform(0.05, 1.0, n) if kind == "weighted" else np.ones(n)
+        w = w / w.sum()
+    mean = w @ pts
+    x = mean + rng.uniform(0.0, 1.6) * (pts[rng.integers(n)] - mean)
+    return (pts - x).T, w
 
 
-def _highs_optimum(A, b, c, lower, upper):
-    res = scipy.optimize.linprog(
-        -c, A_eq=A, b_eq=b, bounds=list(zip(lower, upper)), method="highs"
-    )
-    return res
+def _small_depth_lp(rng):
+    """A depth LP with d in 1..4 and up to a few dozen atoms, of a random kind."""
+    d = int(rng.integers(1, 5))
+    n = int(rng.integers(d + 2, 40))
+    return _depth_lp(rng, ["gaussian", "weighted", "grid"][int(rng.integers(3))], d, n)
 
 
 @pytest.mark.parametrize("seed", range(20))
 def test_matches_highs_on_random_programs(seed):
-    rng = np.random.default_rng(seed)
-    m = int(rng.integers(1, 5))
-    n = int(rng.integers(m + 1, m + 9))
-    A, b, c, lower, upper = _random_feasible_lp(rng, m, n)
-    res = solve_bounded_lp(A, b, c, lower, upper)
-    ref = _highs_optimum(A, b, c, lower, upper)
-    assert ref.status == 0
-    assert res.status == "optimal"
-    assert res.objective == pytest.approx(-ref.fun, abs=1e-8, rel=1e-8)
+    A, w = _small_depth_lp(np.random.default_rng(seed))
+    res = solve_bounded_lp(A, w)
+    assert res.objective == pytest.approx(highs_depth_lp(A, w), abs=1e-9)
     # returned point is feasible
-    np.testing.assert_allclose(A @ res.x, b, atol=1e-8)
-    assert np.all(res.x >= lower - 1e-9)
-    assert np.all(res.x <= upper + 1e-9)
+    np.testing.assert_allclose(A @ res.x, 0.0, atol=1e-12)
+    assert np.all(res.x >= -1e-12)
+    assert np.all(res.x <= w + 1e-12)
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_strong_duality_certificate(seed):
-    # max c'x = y'b + sum_i bound contribution of nonbasic variables:
-    # for rc = c - y'A, the optimum equals y'b + sum rc_i>0 rc_i u_i
-    #                                            + sum rc_i<0 rc_i l_i
-    rng = np.random.default_rng(100 + seed)
-    A, b, c, lower, upper = _random_feasible_lp(rng, 2, 7)
-    res = solve_bounded_lp(A, b, c, lower, upper)
-    assert res.status == "optimal"
-    rc = c - res.dual @ A
-    dual_value = (
-        float(res.dual @ b)
-        + float(np.sum(np.maximum(rc, 0.0) * upper))
-        + float(np.sum(np.minimum(rc, 0.0) * lower))
-    )
-    assert dual_value == pytest.approx(res.objective, abs=1e-8)
+    # the dual objective at the returned y is the lift-zonoid support
+    # function sum_i w_i max(0, 1 - <y, a_i>), and it meets the optimum
+    A, w = _small_depth_lp(np.random.default_rng(100 + seed))
+    res = solve_bounded_lp(A, w)
+    dual_value = float(w @ np.maximum(1.0 - res.dual @ A, 0.0))
+    assert dual_value == pytest.approx(res.objective, abs=1e-12)
 
 
 def test_depth_lp_worked_example():
     # two atoms at -1 and 1 with weight 1/2 each, probed at x = 0.5:
     # max d1 + d2, -1.5 d1 + 0.5 d2 = 0, 0 <= di <= 1/2
     A = np.array([[-1.5, 0.5]])
-    res = solve_bounded_lp(A, np.array([0.0]), np.array([1.0, 1.0]),
-                           np.zeros(2), np.full(2, 0.5))
-    assert res.status == "optimal"
+    res = solve_bounded_lp(A, np.full(2, 0.5))
     assert res.objective == pytest.approx(2.0 / 3.0, abs=1e-14)
     np.testing.assert_allclose(res.x, [1.0 / 6.0, 0.5], atol=1e-14)
     # dual bound sum_i w_i (1 - y (x_i - x))_+ collapses to the same value
@@ -80,57 +68,58 @@ def test_depth_lp_worked_example():
     assert np.sum(0.5 * np.maximum(rc, 0.0)) == pytest.approx(2.0 / 3.0, abs=1e-14)
 
 
-def test_infeasible_detected():
-    # x1 + x2 = -1 with x >= 0 has no solution
-    res = solve_bounded_lp(np.array([[1.0, 1.0]]), np.array([-1.0]),
-                           np.array([1.0, 0.0]), np.zeros(2), np.ones(2))
-    assert res.status == "infeasible"
-
-
-@pytest.mark.parametrize("bound", ["lower", "upper"])
-def test_infinite_bound_rejected(bound):
-    # every box must be finite, so an unbounded LP cannot be posed
-    lower, upper = np.zeros(2), np.ones(2)
-    if bound == "lower":
-        lower[0] = -np.inf
-    else:
-        upper[0] = np.inf
-    with pytest.raises(ValueError, match="finite"):
-        solve_bounded_lp(np.array([[0.0, 1.0]]), np.array([0.0]),
-                         np.array([1.0, 0.0]), lower, upper)
-
-
-def test_fixed_variables():
-    # l = u pins a variable; the solver must treat it as a constant
-    A = np.array([[1.0, 1.0]])
-    res = solve_bounded_lp(A, np.array([1.5]), np.array([0.0, 1.0]),
-                           np.array([0.5, 0.0]), np.array([0.5, 2.0]))
-    assert res.status == "optimal"
-    assert res.x[0] == pytest.approx(0.5, abs=1e-12)
-    assert res.x[1] == pytest.approx(1.0, abs=1e-12)
-
-
 def test_degenerate_basis_flagged():
-    # equality already satisfied at the bounds: a basic variable sits on 0
-    A = np.array([[1.0, -1.0]])
-    res = solve_bounded_lp(A, np.array([0.0]), np.array([0.0, 0.0]),
-                           np.zeros(2), np.ones(2))
-    assert res.status == "optimal"
+    # two atoms at -1 and 1 probed at their mean: both loadings reach their
+    # weights, so the one atom in the basis sits on its upper bound
+    res = solve_bounded_lp(np.array([[-1.0, 1.0]]), np.full(2, 0.5))
+    assert res.objective == pytest.approx(1.0, abs=1e-15)
     assert res.degenerate_basis
 
 
-def test_negative_lower_bounds():
-    rng = np.random.default_rng(5)
-    A = rng.standard_normal((2, 5))
-    lower = np.full(5, -3.0)
-    upper = np.full(5, -1.0)
-    x0 = np.full(5, -2.0)
-    b = A @ x0
-    c = rng.standard_normal(5)
-    res = solve_bounded_lp(A, b, c, lower, upper)
-    ref = _highs_optimum(A, b, c, lower, upper)
-    assert res.status == "optimal"
-    assert res.objective == pytest.approx(-ref.fun, abs=1e-9)
+def test_unrepairable_row_raises_not_converged(monkeypatch, near_flat_fuzz):
+    # the 75th cloud of the near-flat fuzz (n = 6, d = 2, thickness 2.6e-8)
+    # at its first atom:
+    # rounding leaves a basic row that stays out of its box after every flip
+    pts = near_flat_fuzz(74)
+    moves = []
+
+    def recording(*args):
+        moves.append(ratio_test(*args))
+        return moves[-1]
+
+    ratio_test = simplex._ratio_test
+    monkeypatch.setattr(simplex, "_ratio_test", recording)
+    with pytest.raises(NotConverged, match="lost feasibility to rounding"):
+        solve_bounded_lp((pts - pts[0]).T, np.full(len(pts), 1.0 / len(pts)))
+    assert moves[-1] is None
+
+
+def test_singular_basis_raises_not_converged(monkeypatch, near_flat_fuzz):
+    # the 248th cloud of the near-flat fuzz (n = 9, d = 5, thickness 4.6e-8)
+    # at the midpoint
+    # of its first two atoms meets a basis singular to working precision
+    pts = near_flat_fuzz(247)
+    failed = []
+
+    def recording(a):
+        try:
+            return inv(a)
+        except np.linalg.LinAlgError:
+            failed.append(a)
+            raise
+
+    inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", recording)
+    with pytest.raises(NotConverged, match="lost feasibility to rounding"):
+        solve_bounded_lp((pts - 0.5 * (pts[0] + pts[1])).T, np.full(len(pts), 1.0 / len(pts)))
+    assert len(failed) == 1
+
+
+def test_iteration_cap_raises_not_converged(monkeypatch):
+    monkeypatch.setattr(simplex, "_ITERATION_CAP", 0)
+    A = np.array([[-1.5, 0.5]])  # the worked example needs one basis change
+    with pytest.raises(NotConverged, match="exceeded 0 iterations"):
+        solve_bounded_lp(A, np.full(2, 0.5))
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -142,23 +131,10 @@ def test_smallest_index_rule_on_tied_depth_lps(monkeypatch, seed):
     n = 200
     pts = rng.integers(-3, 4, size=(n, 2)).astype(float)
     x = pts.mean(axis=0) + rng.uniform(0.0, 1.5) * (pts[rng.integers(n)] - pts.mean(axis=0))
-    A, b, c = (pts - x).T, np.zeros(2), np.ones(n)
-    lower, upper = np.zeros(n), np.full(n, 1.0 / n)
-    res = solve_bounded_lp(A, b, c, lower, upper)
-    ref = scipy.optimize.linprog(
-        -c, A_eq=A, b_eq=b, bounds=np.column_stack([lower, upper]), method="highs",
-        options={"primal_feasibility_tolerance": 1e-9, "dual_feasibility_tolerance": 1e-9},
-    )
-    assert res.status == "optimal"
-    assert res.objective == pytest.approx(-ref.fun, abs=1e-9)
-    np.testing.assert_allclose(A @ res.x, b, atol=1e-12)
-
-
-def test_iteration_cap_raises_not_converged():
-    A = np.array([[-1.5, 0.5]])  # the worked example needs one basis change
-    with pytest.raises(NotConverged):
-        solve_bounded_lp(A, np.array([0.0]), np.array([1.0, 1.0]),
-                         np.zeros(2), np.full(2, 0.5), max_iterations=0)
+    A, w = (pts - x).T, np.full(n, 1.0 / n)
+    res = solve_bounded_lp(A, w)
+    assert res.objective == pytest.approx(highs_depth_lp(A, w), abs=1e-9)
+    np.testing.assert_allclose(A @ res.x, 0.0, atol=1e-12)
 
 
 def _full_sort_ratio_test(alpha, rc, slope, free, at_upper, width, excess, tol_p, tol_d, bland):
@@ -183,24 +159,10 @@ def _full_sort_ratio_test(alpha, rc, slope, free, at_upper, width, excess, tol_p
     return cand[:k], q
 
 
-def _depth_lp(rng, kind, d, n):
-    """The depth LP of a Gaussian, weighted or integer-grid cloud at a random query."""
-    if kind == "grid":  # few integer sites, so atoms repeat and ratios tie
-        pts = rng.integers(-3, 4, size=(n, d)).astype(float)
-        w = np.full(n, 1.0 / n)
-    else:
-        pts = rng.standard_normal((n, d))
-        w = rng.uniform(0.05, 1.0, n) if kind == "weighted" else np.ones(n)
-        w = w / w.sum()
-    mean = w @ pts
-    x = mean + rng.uniform(0.0, 1.6) * (pts[rng.integers(n)] - mean)
-    return (pts - x).T, np.zeros(d), np.ones(n), np.zeros(n), w
-
-
 def _solve_or_error(lp):
     try:
         return solve_bounded_lp(*lp)
-    except (NotConverged, np.linalg.LinAlgError) as exc:
+    except NotConverged as exc:
         return type(exc)
 
 
@@ -208,14 +170,11 @@ def _assert_same_solution(res, ref):
     if isinstance(ref, type):
         assert res is ref
         return
-    assert (res.status, res.iterations, res.bound_flips) == (ref.status, ref.iterations, ref.bound_flips)
+    assert (res.iterations, res.bound_flips) == (ref.iterations, ref.bound_flips)
     assert (res.dual_degenerate, res.degenerate_basis) == (ref.dual_degenerate, ref.degenerate_basis)
     assert res.objective == ref.objective
-    if ref.x is None:
-        assert res.x is None and res.dual is None
-    else:
-        np.testing.assert_array_equal(res.x, ref.x)
-        np.testing.assert_array_equal(res.dual, ref.dual)
+    np.testing.assert_array_equal(res.x, ref.x)
+    np.testing.assert_array_equal(res.dual, ref.dual)
 
 
 @pytest.mark.parametrize("chunk", range(10))
