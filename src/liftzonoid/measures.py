@@ -21,9 +21,10 @@ split into the boundary point of the trimmed region.
 
 Every split runs the one tail kernel, ``upper_mass_split``. A cloud of
 at least 2^14 atoms in d <= 2, or 2^16 in d = 3, builds a block index
-(atoms in Z-order, blocks of 64 with their boxes, masses and first
-moments) at the ``_BUILD_AT_QUERY``-th query that could read it; the
-queries before it, and every query on a smaller cloud, scan all atoms.
+(atoms ordered along a Hilbert curve, blocks of 64 with their boxes,
+masses and first moments) at the ``_BUILD_AT_QUERY``-th query that could
+read it; the queries before it, and every query on a smaller cloud, scan
+all atoms.
 Through the index every operation reads a level of V the same way: the
 blocks wholly above the level count by their mass and moment, the blocks
 wholly below it not at all, and only the atoms of the blocks the level
@@ -31,7 +32,10 @@ cuts are projected. That covers ``split`` (and ``tail_mean`` and
 ``upper_quantile``) at its bracketed threshold, ``split_at_level`` at h
 and at the bracket of its marginal atom, ``mass_above`` and the half-space
 barycenter at the offset, and ``positive_part_mean(t)`` at -t. Thresholds
-are bit-identical to the full scan's; sums agree to rounding.
+are bit-identical to the full scan's; sums agree to rounding. A support
+level finds the extreme projections, two more cuts, only when the block
+bounds cannot rule out its windows at the farthest projection and at the
+mean.
 
 File formats: point clouds are CSV (one atom per row, optional final
 ``weight`` column when a header is present), Gaussians are JSON with
@@ -272,6 +276,7 @@ class EmpiricalProjection:
         threshold, full, tie, residual = upper_mass_split(cut.values, cut.weights, alpha, cut.mass)
         return cut.split(alpha, threshold, residual, full, np.flatnonzero(tie))
 
+    @cached_property
     def _extremes(self) -> tuple[float, float]:
         """The largest and the smallest computed projection."""
         if self._index is None:
@@ -319,22 +324,26 @@ class EmpiricalProjection:
         of W_>, where the threshold may be the next atom up. Only then, and
         at the ends of the range, is ``split`` called.
         """
-        top, low = self._extremes()
-        spread = top - low
-        rounding = 4.0 * math.ulp(max(top, -low))  # of a level or the mean: ulps of the largest |value|
-        if h - top > _LEVEL_RANGE * spread + rounding:
-            raise NoSolution("support level exceeds the farthest atom projection")
-        mean = self._mean_near(h, _LEVEL_RANGE * spread + rounding)
-        if mean - h > _LEVEL_RANGE * spread + rounding:
-            raise NoSolution("support level lies below the mean projection")
-        if h >= top:
-            return self.split(_MASS_SLACK)
-        if h <= mean + _AT_MEAN * spread + rounding:  # the mean, up to the rounding of its sum
-            return self.split(1.0)
+        if self._far_from_windows(h):
+            low = float(self._bounds[0].min())  # at most the smallest projection
+        else:
+            top, low = self._extremes
+            spread = top - low
+            rounding = _window_rounding(top, low)
+            if h - top > _LEVEL_RANGE * spread + rounding:
+                raise NoSolution("support level exceeds the farthest atom projection")
+            mean = self._mean_near(h, _LEVEL_RANGE * spread + rounding)
+            if mean - h > _LEVEL_RANGE * spread + rounding:
+                raise NoSolution("support level lies below the mean projection")
+            if h >= top:
+                return self.split(_MASS_SLACK)
+            if h <= mean + _AT_MEAN * spread + rounding:  # the mean, up to the rounding of its sum
+                return self.split(1.0)
         at_h = self._cut(h)
         gap = at_h.values - h
         excess = (float(at_h.moment @ self.vec) - h * at_h.mass) + float(at_h.weights @ np.maximum(gap, 0.0))
-        if excess <= np.finfo(float).tiny * (h - low):
+        # a ``low`` from the bounds fires at least as often; the smallest projection decides
+        if excess <= _TINY * (h - low) and excess <= _TINY * (h - self._extremes[1]):
             # P underflowed (h a few ulps below a top near 0), or dividing by it
             # would overflow: alpha is the mass at or above h, up to P / (h - v_k)
             return self.split(at_h.mass + float(at_h.weights @ (gap >= 0.0)))
@@ -367,20 +376,47 @@ class EmpiricalProjection:
             return self.split(alpha)
         return band.split(alpha, vk, min(alpha - mass_gt, mass_tie), full, tie)
 
+    def _far_from_windows(self, h: float) -> bool:
+        """Whether no window of ``split_at_level`` can hold h, judged from the block bounds alone.
+
+        The blocks' intervals give max lo <= top, min lo <= low and top <=
+        max hi, so the spread is at most max hi - min lo and the windows
+        are at most as wide as those that bound gives. A level below max
+        lo lies below the farthest projection, and one above <mean, v> by
+        twice the widest window plus the rounding of that dot product
+        (twice, so that the rounding of the comparisons cannot matter) is
+        neither at nor below the mean. ``_extremes`` then need not be read.
+        """
+        if self._index is None:
+            return False
+        lo, hi = self._bounds
+        top, low = float(hi.max()), float(lo.min())
+        near, rounding = self._rough_mean
+        margin = _LEVEL_RANGE * (top - low) + _window_rounding(top, low) + rounding
+        return h - near > 2.0 * margin and h < float(lo.max())
+
+    @cached_property
+    def _rough_mean(self) -> tuple[float, float]:
+        """<mean, v> from the mean vector, and how far it may round from sum w_i <x_i, v>.
+
+        It rounds by up to about (n + d) ulps of sum_j max|x_j| |v_j|,
+        which is far more than the projections' own ulps when they cancel.
+        """
+        near = float(self.measure.mean() @ self.vec)
+        reach = float(self._index.extent.max(axis=0) @ np.abs(self.vec))
+        return near, 2.0 * (self.weights.size + self.vec.size) * np.finfo(float).eps * reach + _TINY
+
     def _mean_near(self, h: float, window: float) -> float:
         """The mean of V as the full scan sums it, sum w_i <x_i, v>, where it decides h's place.
 
-        The mean vector's <mean, v> rounds otherwise, by up to about (n +
-        d) ulps of sum_j max|x_j| |v_j|, which is far more than the
-        projections' own ulps when they cancel. With an index it stands in
-        for the sum only for a level farther than ``window`` plus that
-        rounding from it, where both sums put h on the same side of every
-        window; the atoms are projected only for a level that close.
+        With an index, ``_rough_mean`` stands in for the sum only for a
+        level farther than ``window`` plus its rounding from it, where both
+        sums put h on the same side of every window; the atoms are
+        projected only for a level that close.
         """
         if self._index is not None:
-            near = float(self.measure.mean() @ self.vec)
-            reach = float(self._index.extent.max(axis=0) @ np.abs(self.vec))
-            if abs(h - near) > window + 2.0 * (self.weights.size + self.vec.size) * np.finfo(float).eps * reach + _TINY:
+            near, rounding = self._rough_mean
+            if abs(h - near) > window + rounding:
                 return near
         return float(self.weights @ self.values)
 
@@ -474,6 +510,13 @@ _MASS_SLACK = 1e-12  # the tail kernel's slack: mass-sum rounding never moves a 
 # this close above the mean is at the mean
 _LEVEL_RANGE = 1e-9
 _AT_MEAN = 1e-13
+
+
+def _window_rounding(top: float, low: float) -> float:
+    """The rounding of a level or the mean near projections in [low, top]: ulps of the largest |value|."""
+    return 4.0 * math.ulp(max(top, -low))
+
+
 # candidate sets this small are finished by a stable sort and a cumsum;
 # larger ones are sampled at this many evenly strided positions
 _SELECT_BASE = 256
@@ -581,7 +624,7 @@ def upper_mass_split(values: np.ndarray, weights: np.ndarray, alpha: float, abov
 # projected intervals overlap too much to pay: 0.7x at d = 4, n = 10^5
 _BLOCK_MIN_ATOMS = (2**14, 2**14, 2**16)
 _BLOCK = 64  # atoms per block
-_MORTON_BITS = 10  # bits per coordinate in each of the two Morton digits
+_MORTON_BITS = 10  # bits per coordinate in each of the two digits of the block order
 # a block's projected interval is widened by this many ulps of sum_j
 # max|x_j| |v_j|: more than the rounding of any atom's projection (d <= 3
 # terms) plus that of the interval's own ends; and by the smallest normal,
@@ -597,26 +640,70 @@ _MOMENT_ROUNDING = 80 * np.finfo(float).eps
 # summation keeps each within log2(n) < 64 ulps of 1
 _SUM_ROUNDING = 128 * np.finfo(float).eps
 # the query on a measure at which its block index is built. At n = 10^5,
-# d = 2 the build takes about 8 ms and saves 0.6 ms a split and 1.2 ms a
-# support-level conversion, so it pays after 7 to 12 queries (d = 3: 13 ms
-# against 0.3 ms a split). Building once the full scans have cost about as
-# much as the build keeps any run of queries within twice the better of
+# d = 2 the build takes about 14 ms (1.1x the Z-order build it replaced,
+# on one pinned CPU of a 2-core host) and saves 0.7 ms a split and 1.2 ms a
+# support-level conversion, so it pays after 12 to 20 queries (d = 3:
+# 16 ms against 0.25 ms a split and 0.5 ms a conversion). A full-scan
+# query costs 1 to 2 ms, so building once the full scans have cost about
+# as much as the build keeps any run of queries within twice the better of
 # building at once and never building
 _BUILD_AT_QUERY = 10
 
 
 def _spread_bits(d: int) -> np.ndarray:
     """Table of ``_MORTON_BITS``-bit integers with their bits spread d apart."""
-    i = np.arange(1 << _MORTON_BITS, dtype=np.uint64)
+    i = np.arange(1 << _MORTON_BITS)
     out = np.zeros_like(i)
     for b in range(_MORTON_BITS):
-        out |= ((i >> np.uint64(b)) & np.uint64(1)) << np.uint64(d * b)
+        out |= ((i >> b) & 1) << (d * b)
     return out
+
+
+def _hilbert_index(cells: np.ndarray) -> np.ndarray:
+    """Each cell's index along the Hilbert curve through the grid of (d, n) ``_MORTON_BITS``-bit cells.
+
+    Runs Skilling's axes-to-transpose step ("Programming the Hilbert
+    curve", 2004) in place on ``cells``; bit b of row j then is bit d b +
+    d - 1 - j of the index. The cells are ``uint16``, which numpy's
+    in-place bit operations run through about three times faster than
+    ``uint32``.
+    """
+    x, one = cells, np.uint16(1)
+    for b in range(_MORTON_BITS - 1, 0, -1):
+        below = np.uint16((1 << b) - 1)
+        x[0] ^= below & (np.uint16(0) - ((x[0] >> np.uint16(b)) & one))  # invert where bit b of row 0 is 1
+        for j in range(1, x.shape[0]):
+            clear = (x[j] >> np.uint16(b)) & one
+            clear -= one  # all ones where bit b of row j is 0
+            swap = x[0] ^ x[j]
+            swap &= below
+            swap &= clear
+            x[j] ^= swap  # there exchange the bits below b of rows 0 and j,
+            swap |= below & ~clear
+            x[0] ^= swap  # elsewhere invert those of row 0
+    for j in range(1, x.shape[0]):  # Gray encode
+        x[j] ^= x[j - 1]
+    flip = x[-1] >> one  # bit k: the parity of the bits of the last row above k
+    for shift in (1, 2, 4, 8):
+        flip ^= flip >> np.uint16(shift)
+    x ^= flip
+    d, spread = x.shape[0], _spread_bits(x.shape[0])
+    index = np.zeros(x.shape[1], dtype=np.int64)
+    for j in range(d):
+        index |= spread[x[j].astype(np.intp)] << (d - 1 - j)
+    return index
 
 
 @dataclass(frozen=True, eq=False)
 class _BlockIndex:
-    """The atoms of a cloud in Z-order, cut into blocks of ``_BLOCK``.
+    """The atoms of a cloud along a Hilbert curve, cut into blocks of ``_BLOCK``.
+
+    Consecutive cells of the curve share a face, so a block's atoms stay
+    together and its box small; in Z-order the blocks that straddle the
+    curve's jumps spanned up to the whole cloud (Kamel and Faloutsos, "On
+    packing R-trees", 1993). The curve runs through coarse cells of 2^-10
+    of each axis' range; within one the order is Morton's on the fine
+    digits, which keeps the build within about 1.1x the Z-order one.
 
     ``points`` (blocks, _BLOCK, d) and ``weights`` (blocks, _BLOCK) hold the
     atoms; the last block is padded with zero-weight copies of its last
@@ -638,18 +725,26 @@ class _BlockIndex:
 
     @classmethod
     def build(cls, points: np.ndarray, weights: np.ndarray) -> "_BlockIndex":
-        """Sort the atoms by Morton code on a 2^20-cell grid per axis and block them."""
+        """Sort the atoms on a 2^20-cell grid per axis and block them.
+
+        Each coordinate is quantized to 20 bits, a coarse and a fine digit
+        of ``_MORTON_BITS``. The atoms are sorted by their coarse cell's
+        index along the Hilbert curve, then by the Morton code of the fine
+        digits within it.
+        """
         n, d = points.shape
         cols = np.ascontiguousarray(points.T)  # coordinate-major: the reductions run contiguous
         low = cols.min(axis=1)
         span = cols.max(axis=1) - low
-        spread, digit = _spread_bits(d), np.uint64(_MORTON_BITS)
-        code = np.zeros(n, dtype=np.uint64)
+        spread = _spread_bits(d)
+        coarse = np.zeros((d, n), dtype=np.uint16)
+        code = np.zeros(n, dtype=np.int64)  # at most 20 d < 63 bits; signed integers index and sort faster
         for j in range(d):
             if 0.0 < span[j] < math.inf:
-                q = ((cols[j] - low[j]) * ((2.0 ** (2 * _MORTON_BITS) - 1.0) / span[j])).astype(np.uint64)
-                code |= spread[q >> digit] << np.uint64(_MORTON_BITS * d + j)
-                code |= spread[q & np.uint64((1 << _MORTON_BITS) - 1)] << np.uint64(j)
+                q = ((cols[j] - low[j]) * ((2.0 ** (2 * _MORTON_BITS) - 1.0) / span[j])).astype(np.int64)
+                coarse[j] = q >> _MORTON_BITS
+                code |= spread[q & ((1 << _MORTON_BITS) - 1)] << j
+        code |= _hilbert_index(coarse) << (_MORTON_BITS * d)
         order = np.argsort(code)
         order = np.concatenate([order, np.full(-n % _BLOCK, order[-1])])
         w = weights.take(order)
@@ -726,6 +821,9 @@ def _check_alpha(alpha: float) -> float:
 _WEIGHT_SUM = 1e-12
 # affine-span rank cutoff: a singular value of the centered atoms counts above this times the radius
 _RANK = 1e-10
+# a Gaussian factor is singular when its smallest singular value is at most
+# this share of its largest: whitening would then amplify rounding by 1e12
+_FACTOR_CONDITION = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -879,7 +977,7 @@ class GaussianMeasure:
         if not np.all(np.isfinite(a)):
             raise NonFinite("factor contains non-finite entries")
         sv = np.linalg.svd(a, compute_uv=False)
-        if sv[-1] <= 1e-12 * sv[0]:
+        if sv[-1] <= _FACTOR_CONDITION * sv[0]:
             raise DegenerateMeasure("covariance factor is numerically singular")
         object.__setattr__(self, "location", _freeze(m))
         object.__setattr__(self, "factor", _freeze(a))

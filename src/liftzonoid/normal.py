@@ -38,6 +38,7 @@ _ERFCX_SWITCH = 25.0
 _ERFCX_TERMS = 12
 _DEKKER_SPLIT = 134217729.0  # 2**27 + 1: splits a double into two 26-bit halves
 _G_INVERSE_MAX_ITERATIONS = 120  # safeguarded Newton steps in g_inverse
+_G_INVERSE_STEP = 1e-15  # g_inverse stops at a step this small relative to 1 + |u|: a few ulps
 # from here on g_inverse returns -y + 1/y, which inverts G(u) = -u - 1/u +
 # 2/u^3 - ... to a relative y^-4, below rounding; a Newton step's
 # G' = -uG - G^2 cancels to 0 there from about y = 7e7
@@ -203,7 +204,7 @@ def g_inverse(y: float) -> float:
         nxt = u - step
         if not lo < nxt < hi:
             nxt = 0.5 * (lo + hi)
-        if abs(nxt - u) <= 1e-15 * (1.0 + abs(nxt)):
+        if abs(nxt - u) <= _G_INVERSE_STEP * (1.0 + abs(nxt)):
             return nxt
         u = nxt
     return u

@@ -234,6 +234,20 @@ def _roundtrip(measure, seed: int, samples: int, workers: int) -> dict:
     return _finish("roundtrip", seed, props, n_points=len(rows))
 
 
+def _det(a: np.ndarray) -> np.ndarray:
+    """Determinants of a stack of k x k matrices by cofactor expansion, k! products each.
+
+    Products and sums of small integers are exact, so a singular integer
+    matrix gets determinant 0 exactly; numpy's ``det`` factors the matrix
+    and rounds even a 1 x 1 one.
+    """
+    k = a.shape[-1]
+    if k == 1:
+        return a[..., 0, 0]
+    cols = np.arange(k)
+    return sum((-1.0) ** j * a[..., 0, j] * _det(a[..., 1:, cols != j]) for j in range(k))
+
+
 def _facet_depth(mu: EmpiricalMeasure, x: np.ndarray) -> float:
     """Depth of x read off the facets of the lift zonotope, with no solver.
 
@@ -242,19 +256,23 @@ def _facet_depth(mu: EmpiricalMeasure, x: np.ndarray) -> float:
     Every facet normal n is the generalized cross product (signed cofactor
     determinants) of d generators, taken with both signs, and has support
     sum_i max(0, <n, g_i>); the depth is the least ratio of that support
-    to <n, (1, x)> > 0, capped at 1. It takes C(n, d) normals and
-    O(C(n, d) n d) work, so it serves the suite's small clouds only. A
-    normal whose facet passes through x keeps a rounding-sized height of
-    either sign, so a query on the span of d atoms' lifts (an atom on the
-    hull, say) can read a wrong depth; the suite's random draws avoid it.
+    to <n, (1, x)> > 0, capped at 1. A positive factor per generator
+    leaves each normal's direction and so its ratio unchanged, so the
+    normals are taken from the lifts (1, x_i) themselves. It takes C(n, d)
+    normals and O(C(n, d) n d) work, so it serves the suite's small clouds
+    (d <= 3) only. The cofactors are sums of products, exact on
+    small-integer atoms, so there a facet through an integer query has
+    height exactly 0; on other atoms such a facet keeps a rounding-sized
+    height of either sign, and a query on the span of d atoms' lifts can
+    read a wrong depth.
     """
-    gens = mu.weights[:, None] * np.column_stack([np.ones(mu.size), mu.points])
-    faces = gens[np.array(list(combinations(range(mu.size), mu.dim)))]
+    lifts = np.column_stack([np.ones(mu.size), mu.points])
+    faces = lifts[np.array(list(combinations(range(mu.size), mu.dim)))]
     cols = np.arange(mu.dim + 1)
-    normals = np.stack([(-1.0) ** k * np.linalg.det(faces[:, :, cols != k]) for k in cols], axis=1)
+    normals = np.stack([(-1.0) ** k * _det(faces[:, :, cols != k]) for k in cols], axis=1)
     normals = np.vstack([normals, -normals])
     height = normals @ np.append(1.0, x)
-    support = np.maximum(normals @ gens.T, 0.0).sum(axis=1)
+    support = np.maximum(normals @ lifts.T, 0.0) @ mu.weights
     up = height > 0.0
     return float((support[up] / height[up]).min(initial=1.0))
 

@@ -123,6 +123,15 @@ def trimmed_boundary_point(mu, query: TrimmedRegionQuery) -> np.ndarray:
     return mu.tail_barycenter(mu.project(u.vec).split(query.alpha), u)
 
 
+# zonotope_polygon_2d's cutoffs. A generator shorter than this share of the
+# largest generator coordinate is a few ulps of rounding and spans no edge
+_NULL_GENERATOR = 1e-15
+# generators whose angles differ by at most this many radians are parallel up to rounding: one edge
+_SAME_ANGLE = 1e-12
+# a vertex within this share of the largest generator coordinate of its predecessor repeats it
+_SAME_VERTEX = 1e-12
+
+
 def zonotope_polygon_2d(mu: EmpiricalMeasure) -> Polygon2D:
     """Exact vertex polygon of the zonotope of a planar empirical measure.
 
@@ -138,7 +147,7 @@ def zonotope_polygon_2d(mu: EmpiricalMeasure) -> Polygon2D:
         raise WrongDimension(f"zonotope polygon is defined for dimension 2, not {mu.dim}")
     gens = mu.weights[:, None] * mu.points
     scale = float(np.abs(gens).max()) if gens.size else 0.0
-    keep = np.linalg.norm(gens, axis=1) > 1e-15 * scale
+    keep = np.linalg.norm(gens, axis=1) > _NULL_GENERATOR * scale
     gens = gens[keep]
     if gens.shape[0] == 0:
         return Polygon2D(np.zeros((1, 2)))
@@ -149,11 +158,11 @@ def zonotope_polygon_2d(mu: EmpiricalMeasure) -> Polygon2D:
     order = np.argsort(angles, kind="stable")
     upper, angles = upper[order], angles[order]
     # merge generators that point the same way (collinear edges)
-    starts = np.flatnonzero(np.r_[True, np.diff(angles) > 1e-12])
+    starts = np.flatnonzero(np.r_[True, np.diff(angles) > _SAME_ANGLE])
     edges = np.add.reduceat(upper, starts, axis=0)
     verts = np.cumsum(np.vstack([base, edges, -edges]), axis=0)[:-1]  # the last step returns to base
     # drop a vertex that repeats its predecessor; at the wrap, the last one goes
-    dup = np.all(np.abs(verts - np.roll(verts, 1, axis=0)) <= 1e-12 * scale, axis=1)
+    dup = np.all(np.abs(verts - np.roll(verts, 1, axis=0)) <= _SAME_VERTEX * scale, axis=1)
     dup[-1] |= dup[0]
     dup[0] = False
     return Polygon2D(verts[~dup])

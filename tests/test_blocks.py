@@ -2,16 +2,21 @@
 
 Clouds of at least 2^14 atoms in d <= 2, and of 2^16 in d = 3, answer
 tail splits, support-level splits and half-space sums from a block index
-once a few queries have asked for it: Z-ordered blocks of 64 atoms,
-summed whole above a level and scanned atom by atom where the level cuts
-them. The tests here read ``mu._blocks`` to build the index at once. The
-reference is the full scan: ``upper_mass_split`` over every atom's
-projection, with the support and the boundary point summed from it
-directly; the same measure with no index for support-level splits; and
-sums over every atom for the half-space mass, barycenter and E(V - a)_+.
-Thresholds must be bit-identical, supports and boundary points equal
-within 1e-12 (1 + max|x|), support-level alphas and half-space sums within
-1e-13 (1 + max|x|).
+once a few queries have asked for it: blocks of 64 atoms in the order of
+their coarse cells along the Hilbert curve, summed whole above a level
+and scanned atom by atom where the level cuts them. The tests here read
+``mu._blocks`` to build the index at once. The reference is the full
+scan: ``upper_mass_split`` over every atom's projection, with the support
+and the boundary point summed from it directly; the same measure with no
+index for support-level splits; and sums over every atom for the
+half-space mass, barycenter and E(V - a)_+. Thresholds must be
+bit-identical, supports and boundary points equal within 1e-12 (1 +
+max|x|), support-level alphas and half-space sums within 1e-13 (1 +
+max|x|); on five cloud shapes in d = 2 and 3, supports too. Support
+levels near the windows at the farthest projection and at the mean must
+answer or raise as the full scan does, and a level far from both must
+not read the extreme projections. ``TestWorkGuards`` bounds the share of
+atoms a query reads on a planar 10^5-atom Gaussian.
 """
 
 import math
@@ -25,6 +30,7 @@ from liftzonoid import (
     Direction,
     EmpiricalMeasure,
     HalfSpace,
+    NoSolution,
     TrimmedRegionQuery,
     convert_coords,
     point_from_coords,
@@ -147,6 +153,101 @@ def test_fuzz_levels_and_halfspaces_match_full_scan(seed):
         u = Direction.of(rng.standard_normal(mu.dim))
         _assert_levels_match_full_scan(mu, full, u, _levels(full, u, rng))
         _assert_halfspaces_match_full_scan(mu, u, _offsets(mu, u, rng))
+
+
+def _shape_cloud(shape, rng, n, d):
+    """Uniform clouds of five shapes: Gaussian, a rotated anisotropic Gaussian,
+    Student t with 2 degrees of freedom, a mix of 8 tight clusters, and a
+    tied integer grid."""
+    if shape == "gauss":
+        pts = rng.standard_normal((n, d))
+    elif shape == "aniso":
+        rotation = np.linalg.qr(rng.standard_normal((d, d)))[0]
+        pts = (rng.standard_normal((n, d)) * np.array([1.0, 0.05, 0.01])[:d]) @ rotation.T
+    elif shape == "t2":
+        pts = rng.standard_t(2.0, size=(n, d))
+    elif shape == "mix":
+        centers = 4.0 * rng.standard_normal((8, d))
+        pts = centers[rng.integers(0, 8, n)] + 0.3 * rng.standard_normal((n, d))
+    else:
+        pts = rng.integers(-20, 21, size=(n, d)).astype(float)
+    return EmpiricalMeasure.uniform(pts)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("shape", ["gauss", "aniso", "t2", "mix", "grid"])
+def test_shapes_match_full_scan(shape, d):
+    rng = np.random.default_rng([24, d, len(shape)])
+    mu = _shape_cloud(shape, rng, _BLOCK_MIN_ATOMS[d - 1] + int(rng.integers(1, 2000)), d)
+    full = _unindexed(mu)
+    assert mu._blocks is not None
+    tol = 1e-13 * (1.0 + float(np.abs(mu.points).max()))
+    for _ in range(3):
+        u = Direction.of(rng.standard_normal(d))
+        for alpha in (1e-6, 0.1, 0.5, 0.9, float(rng.uniform())):
+            threshold, support, _ = _full_scan(mu, u.vec, alpha)
+            assert mu.upper_quantile(u, alpha) == threshold
+            assert abs(support_trimmed(mu, TrimmedRegionQuery(alpha, u)) - support) <= tol
+        _assert_levels_match_full_scan(mu, full, u, _levels(full, u, rng))
+        _assert_halfspaces_match_full_scan(mu, u, _offsets(mu, u, rng))
+
+
+def _split_or_none(law, h):
+    try:
+        return law.split_at_level(h)
+    except NoSolution:
+        return None
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_levels_at_the_windows_match_full_scan(d, monkeypatch):
+    # levels at, just inside and just outside the windows at the farthest
+    # projection and at the mean; a level far from both never reads the
+    # extreme projections
+    rng = np.random.default_rng([25, d])
+    for shape in ("gauss", "grid"):
+        mu = _shape_cloud(shape, rng, _BLOCK_MIN_ATOMS[d - 1] + 100, d)
+        full = _unindexed(mu)
+        mu._blocks
+        tol = 1e-13 * (1.0 + float(np.abs(mu.points).max()))
+        for _ in range(3):
+            v = Direction.of(rng.standard_normal(d)).vec
+            values = mu.points @ v
+            top, mean = float(values.max()), float(mu.weights @ values)
+            spread = top - float(values.min())
+            levels = [top, float(np.nextafter(top, np.inf)), top + 1e-10 * spread, top - 1e-10 * spread,
+                      top + 1e-8 * spread, mean, mean + 1e-14 * spread, mean - 1e-10 * spread, mean - 1e-8 * spread]
+            for h in levels:
+                got, ref = _split_or_none(mu.project(v), h), _split_or_none(full.project(v), h)
+                assert (got is None) == (ref is None), h
+                if ref is not None:
+                    assert got.threshold == ref.threshold, h
+                    assert abs(got.alpha - ref.alpha) <= tol and abs(got.residual - ref.residual) <= tol, h
+            assert _split_or_none(mu.project(v), levels[4]) is None
+            assert _split_or_none(mu.project(v), levels[8]) is None
+            assert mu.project(v).split_at_level(top).alpha == _MASS_SLACK
+            assert mu.project(v).split_at_level(mean).alpha == 1.0
+    h = mu.project(v).tail_mean(0.5)
+    ref = full.project(v).split_at_level(h)
+
+    def refuse(self):
+        raise AssertionError("extreme projections read")
+
+    monkeypatch.setattr(measures.EmpiricalProjection, "_extremes", property(refuse))
+    assert mu.project(v).split_at_level(h).threshold == ref.threshold
+
+
+@pytest.mark.parametrize("d, side", [(1, 1024), (2, 64), (3, 16)])
+def test_hilbert_index_steps_to_a_neighbouring_cell(d, side):
+    # the curve starts at the origin and fills the corner cube of each
+    # power-of-two side before it leaves it, one face-neighbour at a time
+    cells = np.stack(np.meshgrid(*[np.arange(side)] * d, indexing="ij")).reshape(d, -1)
+    index = measures._hilbert_index(cells.astype(np.uint16))
+    order = np.argsort(index)
+    np.testing.assert_array_equal(index[order], np.arange(side**d))
+    assert cells[:, order[0]].tolist() == [0] * d
+    steps = np.abs(np.diff(cells[:, order], axis=1)).sum(axis=0)
+    assert np.all(steps == 1)
 
 
 def test_padded_last_block():
@@ -320,14 +421,14 @@ class TestWorkGuards:
                 atoms = [s for s in sizes if s != n_blocks]
                 assert len(atoms) == 1 and len(sizes) == 3
                 shares.append(atoms[0] / n)
-        assert max(shares) <= 0.2
-        assert np.mean(shares) <= 0.15
+        assert max(shares) <= 0.14
+        assert np.mean(shares) <= 0.10
 
     def test_conversions_read_few_atoms(self, monkeypatch):
         # support -> depth / offset / point on the planar 10^5-atom cloud;
         # counted as above, the atoms handed to the tail kernel, and also
-        # every atom projected: the blocks that h cuts, the bracket's band
-        # and the few blocks that can hold the extreme projections
+        # every atom projected: the blocks that h cuts and the bracket's
+        # band (the extreme projections are read only near the windows)
         n = 100_000
         mu = EmpiricalMeasure.uniform(np.random.default_rng([7, 3]).standard_normal((n, 2)))
         n_blocks = mu._blocks.mass.size
@@ -358,8 +459,8 @@ class TestWorkGuards:
                     assert len(atoms) == 1 and len(sizes) == 3
                     kernel.append(atoms[0] / n)
                     read.append(sum(projected) / n)
-        assert max(kernel) <= 0.2 and np.mean(kernel) <= 0.15
-        assert max(read) <= 0.3 and np.mean(read) <= 0.2
+        assert max(kernel) <= 0.14 and np.mean(kernel) <= 0.10
+        assert max(read) <= 0.20 and np.mean(read) <= 0.13
 
     def test_index_is_built_at_a_later_query(self, monkeypatch):
         builds = []

@@ -62,3 +62,18 @@ def test_depth_scaling(tmp_path):
     assert (row["d"], row["n"], row["queries"]) == (2, 2000, 6)
     assert len(row["ms"]) == len(row["iterations"]) == 6
     assert 0 < row["ratio_test_share"] < 1
+
+
+def test_index_reads(tmp_path):
+    # one small planar cloud, just above the index cutoff, and a few directions
+    proc = _run("-c", "import index_reads as s; s.N = 20_000; s.CASES = ((2, 'gauss'),); s.DIRECTIONS = 3; "
+                "s.BUILDS = 1; s.main()", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert set(report) == {"numpy", "n", "directions", "alphas", "cases"}
+    (row,) = report["cases"]
+    assert set(row) == {"d", "shape", "build_ms", "split_atoms", "conversion_atoms"}
+    assert (row["d"], row["shape"], report["n"]) == (2, "gauss", 20_000)
+    assert row["build_ms"] > 0
+    # a split reads some atoms, but far fewer than the full scan
+    assert 0 < row["split_atoms"] < 0.5 * 20_000 and 0 < row["conversion_atoms"] < 0.5 * 20_000

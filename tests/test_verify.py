@@ -3,8 +3,15 @@
 import numpy as np
 import pytest
 
-from liftzonoid import EmpiricalMeasure, GaussianMeasure, InputFormatError, support_trimmed
-from liftzonoid.verify import SUITES, run_suite
+from liftzonoid import (
+    DegenerateMeasure,
+    EmpiricalMeasure,
+    GaussianMeasure,
+    InputFormatError,
+    support_trimmed,
+    zonoid_depth,
+)
+from liftzonoid.verify import SUITES, _facet_depth, run_suite
 
 
 @pytest.mark.parametrize("name", SUITES)
@@ -102,6 +109,26 @@ def test_oracle_suite_reports_checked_instances():
     prop = _by_name(run_suite("oracle", seed=0))["lp-depth-matches-bruteforce"]
     assert prop["checked"] == 25
     assert prop["max_error"] <= 1e-12 and prop["tolerance"] == 1e-12
+
+
+def test_facet_depth_at_atoms_of_tied_integer_clouds():
+    # a facet through an atom of an integer cloud has height exactly 0, so
+    # it can neither cap the depth below the LP's nor pass for a facet above
+    rng = np.random.default_rng(5)
+    checked = 0
+    for _ in range(300):
+        d = int(rng.integers(1, 4))
+        n = int(rng.integers(d + 1, 10))
+        pts = rng.integers(-2, 3, size=(n, d)).astype(float)
+        x = pts[int(rng.integers(0, n))]
+        try:
+            mu = EmpiricalMeasure.uniform(pts)
+            depth = zonoid_depth(mu, x).depth
+        except DegenerateMeasure:
+            continue
+        assert abs(_facet_depth(mu, x) - depth) <= 1e-9, (pts, x)
+        checked += 1
+    assert checked > 250
 
 
 def test_oracle_suite_with_no_instances_fails(monkeypatch):
