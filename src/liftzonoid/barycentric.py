@@ -36,6 +36,7 @@ from .measures import (
     GaussianMeasure,
     HalfSpace,
     as_vector,
+    length,
 )
 from .zonoid import TrimmedRegionQuery, support_trimmed, trimmed_boundary_point
 
@@ -92,7 +93,7 @@ def represent(mu, point) -> RepresentationResult:
         return gaussian_represent(mu, x)
     if not isinstance(mu, EmpiricalMeasure):
         raise TypeError(f"unsupported measure type {type(mu).__name__}")
-    if float(np.linalg.norm(x - mu.mean())) <= DEFAULT_TOLS.mean_radius * mu.radius:
+    if mu.is_mean(x):  # before the depth LP's span check, which a flat cloud fails
         return RepresentationResult.at_mean(mu, x)
     cert = zonoid_depth(mu, x)
     if cert.status is DepthStatus.OUTSIDE or cert.depth < DEFAULT_TOLS.alpha_floor:
@@ -105,11 +106,8 @@ def represent(mu, point) -> RepresentationResult:
     u = cert.dual_direction
     offset = mu.upper_quantile(u, alpha)
     hs = HalfSpace(u, offset)
-    residual = float(np.linalg.norm(mu.halfspace_barycenter(hs) - x))
-    # inclusion gamma_i alpha / w_i of the at most d fractional atoms, read
-    # off the packed loading; a full atom's is alpha / mass, 1 to rounding
-    loading = cert.loading
-    inclusion = loading.value / loading.mass * alpha / mu.weights[loading.index]
+    residual = float(length(mu.halfspace_barycenter(hs) - x))
+    inclusion = cert.loading.fractional_inclusion(alpha)  # of the at most d fractional atoms
     tol = DEFAULT_TOLS.degenerate
     fractional = bool(np.any((inclusion > tol) & (inclusion < 1.0 - tol)))
     unique = not (fractional or cert.dual_degenerate)

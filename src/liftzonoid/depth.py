@@ -24,7 +24,7 @@ import numpy as np
 
 from .config import DEFAULT_TOLS
 from .errors import DegenerateMeasure
-from .measures import Direction, EmpiricalMeasure, as_vector
+from .measures import Direction, EmpiricalMeasure, as_vector, length
 from .simplex import solve_bounded_lp
 
 
@@ -57,6 +57,10 @@ class _PackedLoading:
         delta[self.index] = self.value
         return delta / self.mass
 
+    def fractional_inclusion(self, alpha: float) -> np.ndarray:
+        """gamma_i alpha / w_i of the fractional atoms; a full atom's is alpha / mass, 1 to rounding."""
+        return self.value / self.mass * alpha / self.weights[self.index]
+
 
 @dataclass(frozen=True, eq=False, slots=True)
 class DepthCertificate:
@@ -65,23 +69,27 @@ class DepthCertificate:
     ``atom_weights`` is the convex representation gamma of the query
     point (None when outside), rebuilt on each access; ``dual_direction``
     supports the trimmed region at the query point (None at the mean or
-    outside); ``max_weight_ratio`` is max_i gamma_i / w_i = 1/depth.
-    ``iterations`` counts dual simplex basis changes and ``bound_flips``
-    the atoms the long-step ratio test moved between 0 and full weight.
+    outside); ``max_weight_ratio`` is max_i gamma_i / w_i = 1/depth, read
+    off gamma. ``iterations`` counts dual simplex basis changes and
+    ``bound_flips`` the atoms the long-step ratio test moved between 0 and
+    full weight.
     """
 
     depth: float
     status: DepthStatus
-    dual_direction: Direction | None
-    max_weight_ratio: float | None
-    iterations: int
-    bound_flips: int
-    dual_degenerate: bool
+    dual_direction: Direction | None = None
+    iterations: int = 0
+    bound_flips: int = 0
+    dual_degenerate: bool = False
     loading: _PackedLoading | None = field(default=None, repr=False)
 
     @property
     def atom_weights(self) -> np.ndarray | None:
         return None if self.loading is None else self.loading.unpack()
+
+    @property
+    def max_weight_ratio(self) -> float | None:
+        return None if self.loading is None else float(np.max(self.atom_weights / self.loading.weights))
 
     def to_json_dict(self) -> dict:
         return {
@@ -122,34 +130,16 @@ def zonoid_depth(mu: EmpiricalMeasure, point) -> DepthCertificate:
         raise TypeError("zonoid_depth expects an empirical measure")
     x = as_vector(point, dim=mu.dim, name="point")
     check_affine_span(mu)
-    if float(np.linalg.norm(x - mu.mean())) <= DEFAULT_TOLS.mean_radius * mu.radius:
-        return DepthCertificate(
-            depth=1.0,
-            status=DepthStatus.MEAN,
-            dual_direction=None,
-            max_weight_ratio=1.0,
-            iterations=0,
-            bound_flips=0,
-            dual_degenerate=False,
-            loading=_PackedLoading.pack(mu.weights, mu.weights, 1.0),
-        )
+    if mu.is_mean(x):
+        return DepthCertificate(1.0, DepthStatus.MEAN, loading=_PackedLoading.pack(mu.weights, mu.weights, 1.0))
     res = solve_bounded_lp((mu.points - x).T, mu.weights)
     alpha = float(res.objective)
     if alpha <= _LP_FEASIBILITY:
-        return DepthCertificate(
-            depth=0.0,
-            status=DepthStatus.OUTSIDE,
-            dual_direction=None,
-            max_weight_ratio=None,
-            iterations=res.iterations,
-            bound_flips=res.bound_flips,
-            dual_degenerate=res.dual_degenerate,
-        )
-    alpha = min(alpha, 1.0)
+        return DepthCertificate(0.0, DepthStatus.OUTSIDE, iterations=res.iterations,
+                                bound_flips=res.bound_flips, dual_degenerate=res.dual_degenerate)
     delta = np.maximum(res.x, 0.0)
-    mass = float(delta.sum())
     y = res.dual
-    norm_y = float(np.linalg.norm(y))
+    norm_y = float(length(y))
     direction = Direction(-y / norm_y) if norm_y * mu.radius > _NO_DIRECTION else None  # y is 1/length
     status = DepthStatus.INTERIOR
     if direction is not None:
@@ -157,12 +147,11 @@ def zonoid_depth(mu: EmpiricalMeasure, point) -> DepthCertificate:
         if float(proj.max()) - float(x @ direction.vec) <= _BOUNDARY_WINDOW * mu.radius:
             status = DepthStatus.BOUNDARY
     return DepthCertificate(
-        depth=alpha,
-        status=status,
-        dual_direction=direction,
-        max_weight_ratio=float(np.max(delta / mass / mu.weights)),
+        min(alpha, 1.0),
+        status,
+        direction,
         iterations=res.iterations,
         bound_flips=res.bound_flips,
         dual_degenerate=res.dual_degenerate or res.degenerate_basis,
-        loading=_PackedLoading.pack(mu.weights, delta, mass),
+        loading=_PackedLoading.pack(mu.weights, delta, float(delta.sum())),
     )

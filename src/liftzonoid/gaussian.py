@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import DEFAULT_TOLS
 from .errors import ZeroMass
-from .measures import Direction, GaussianMeasure, HalfSpace, as_vector
+from .measures import Direction, GaussianMeasure, HalfSpace, as_vector, length
 from .normal import g_inverse, g_ratio, normal_cdf
 
 
@@ -54,7 +54,7 @@ class RepresentationResult:
         return cls(
             halfspace=HalfSpace.whole_space(mu.dim),
             alpha=1.0,
-            residual=float(np.linalg.norm(mu.mean() - x)),
+            residual=float(length(mu.mean() - x)),
             unique=True,
             method="closed-form",
         )
@@ -72,7 +72,7 @@ def gaussian_depth(mu: GaussianMeasure, point) -> float:
     Closed form alpha = Phi(G^-1(rho)), exact because r(Phi(u)) = G(u);
     it underflows to 0.0 far in the tail.
     """
-    rho = float(np.linalg.norm(_whitened(mu, point)))
+    rho = float(length(_whitened(mu, point)))
     if rho <= DEFAULT_TOLS.mean_radius:
         return 1.0
     return normal_cdf(g_inverse(rho))
@@ -82,7 +82,7 @@ def gaussian_represent(mu: GaussianMeasure, point) -> RepresentationResult:
     """Half-space H with barycenter equal to ``point``, unique for Gaussians."""
     x = as_vector(point, dim=mu.dim, name="point")
     xw = _whitened(mu, x)
-    rho = float(np.linalg.norm(xw))
+    rho = float(length(xw))
     if rho <= DEFAULT_TOLS.mean_radius:
         return RepresentationResult.at_mean(mu, x)
     u_w = xw / rho
@@ -97,14 +97,14 @@ def gaussian_represent(mu: GaussianMeasure, point) -> RepresentationResult:
     # {y_w : <u_w, y_w> >= a_w} in whitened coordinates pulls back through
     # y_w = A^-1 (y - m) to {y : <A^-T u_w, y> >= a_w + <A^-T u_w, m>}.
     v = np.linalg.solve(mu.factor.T, u_w)
-    norm_v = float(np.linalg.norm(v))
+    norm_v = float(length(v))
     direction = Direction(v / norm_v)
     offset = (a_w + float(v @ mu.location)) / norm_v
     hs = HalfSpace(direction, offset)
     return RepresentationResult(
         halfspace=hs,
         alpha=alpha,
-        residual=float(np.linalg.norm(bary - x)),
+        residual=float(length(bary - x)),
         unique=True,
         method="closed-form",
     )

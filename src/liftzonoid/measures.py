@@ -84,6 +84,23 @@ def as_vector(x, *, dim: int | None = None, name: str = "vector") -> np.ndarray:
     return v
 
 
+# entries between this and its inverse in magnitude square, and sum, without
+# overflow or underflow
+_PLAIN_SCALE = 1e100
+
+
+def length(v: np.ndarray, axis: int | None = None):
+    """Euclidean length of ``v`` (of each slice along ``axis``) at any scale.
+
+    Divides by the largest |entry| first only when that lies outside
+    [1e-100, 1e100], so ordinary lengths are np.linalg.norm's bit for bit.
+    """
+    big = float(np.abs(v).max())
+    if 0.0 < big < 1.0 / _PLAIN_SCALE or _PLAIN_SCALE < big < math.inf:
+        return big * np.linalg.norm(v / big, axis=axis)
+    return np.linalg.norm(v, axis=axis)
+
+
 def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.array(a, dtype=float, copy=True)
     a.setflags(write=False)
@@ -98,7 +115,7 @@ class Direction:
 
     def __post_init__(self):
         v = as_vector(self.vec, name="direction")
-        n = float(np.linalg.norm(v))
+        n = float(length(v))
         if abs(n - 1.0) > DEFAULT_TOLS.unit_norm:
             raise DomainError(f"direction norm {n!r} is not 1 within {DEFAULT_TOLS.unit_norm}")
         object.__setattr__(self, "vec", _freeze(v))
@@ -107,7 +124,7 @@ class Direction:
     def of(cls, coords) -> "Direction":
         """Normalize arbitrary nonzero coordinates into a Direction."""
         v = as_vector(coords, name="direction")
-        n = float(np.linalg.norm(v))
+        n = float(length(v))
         if n == 0.0:
             raise DomainError("cannot normalize the zero vector into a direction")
         return cls(v / n)
@@ -877,7 +894,11 @@ class EmpiricalMeasure:
     @cached_property
     def radius(self) -> float:
         """Largest distance of an atom from the mean: the cloud's length scale."""
-        return float(np.linalg.norm(self.points - self.mean(), axis=1).max())
+        return float(length(self.points - self.mean(), axis=1).max())
+
+    def is_mean(self, x: np.ndarray) -> bool:
+        """Whether x lies within ``mean_radius`` radii of the mean, where depth is 1."""
+        return float(length(x - self.mean())) <= DEFAULT_TOLS.mean_radius * self.radius
 
     @cached_property
     def affine_rank(self) -> int:
@@ -1016,7 +1037,7 @@ class GaussianMeasure:
     def project(self, vec) -> GaussianProjection:
         """Law of <X, vec> for any spatial vector: N(<mean, vec>, |factor^T vec|^2)."""
         v = as_vector(vec, dim=self.dim, name="direction")
-        return GaussianProjection(float(self.location @ v), float(np.linalg.norm(self.factor.T @ v)))
+        return GaussianProjection(float(self.location @ v), float(length(self.factor.T @ v)))
 
     def upper_quantile(self, direction: Direction, alpha: float) -> float:
         """The a with P(<X,u> >= a) = alpha; -inf when alpha = 1."""

@@ -37,7 +37,14 @@ sort it would save.
 The m x m basis is inverted afresh every iteration, which is cheap at
 these row counts and sidesteps update drift. Leaving rows follow exact
 dual steepest-edge pricing until a streak of zero-length dual steps, after
-which the smallest-index rule takes over to guarantee termination.
+which the smallest-index rule takes over. That rule does not break every
+cycle: on near-flat clouds a query can alternate between two bases until
+the iteration cap ends it with NotConverged (ROADMAP item 18).
+
+``dual_degenerate`` flags a nonbasic reduced cost at 0 and
+``degenerate_basis`` a basic variable on a bound. ``zonoid_depth`` reports
+the first alone on an OUTSIDE certificate, their OR on an INTERIOR or
+BOUNDARY one.
 """
 
 from __future__ import annotations

@@ -22,6 +22,7 @@ from .measures import (
     EmpiricalMeasure,
     GaussianMeasure,
     HalfSpace,
+    length,
 )
 from .normal import g_inverse, g_ratio, isoperimetric, normal_cdf, normal_quantile, radius
 from .sampling import direction_grid, task_stream
@@ -78,7 +79,7 @@ def _scales(mu) -> tuple[float, float]:
         spread = mu.radius
     else:
         spread = float(np.linalg.norm(mu.factor, 2))
-    return spread, spread + float(np.linalg.norm(mu.mean()))
+    return spread, spread + float(length(mu.mean()))
 
 
 def _theorem1_single(arg):
@@ -118,7 +119,7 @@ def _theorem1_single(arg):
                 # below the farthest atom's weight the upper tail is that atom alone
                 far = order[-1]
                 bp = trimmed_boundary_point(mu, TrimmedRegionQuery(0.5 * mu.weights[far], u))
-                err_limit = max(err_limit, float(np.linalg.norm(bp - mu.points[far])) / reach)
+                err_limit = max(err_limit, float(length(bp - mu.points[far])) / reach)
                 checked += 1
     return err_support, err_nesting, err_reflect, err_cont, err_limit, checked
 
@@ -221,7 +222,7 @@ def _roundtrip_single(arg):
     for kind in CoordKind:
         c = coords_from_point(mu, x, kind)
         back = point_from_coords(mu, c)
-        worst = max(worst, float(np.linalg.norm(back - x)) / reach)
+        worst = max(worst, float(length(back - x)) / reach)
     return worst
 
 

@@ -24,6 +24,7 @@ from .measures import (
     Direction,
     EmpiricalMeasure,
     as_vector,
+    length,
     _check_alpha,
     _freeze,
 )
@@ -41,7 +42,7 @@ class LiftDirection:
         t = float(self.t)
         if math.isnan(t):
             raise NonFinite("lift direction has NaN mass component")
-        n = math.hypot(t, float(np.linalg.norm(u)))
+        n = math.hypot(t, float(length(u)))
         if abs(n - 1.0) > DEFAULT_TOLS.unit_norm:
             raise DomainError(f"lift direction norm {n!r} is not 1 within {DEFAULT_TOLS.unit_norm}")
         object.__setattr__(self, "t", t)
@@ -53,7 +54,7 @@ class LiftDirection:
         if not math.isfinite(t):  # an infinite t would normalize to a NaN
             raise NonFinite(f"lift coordinate t must be finite, got {t!r}")
         u = as_vector(spatial, name="lift direction")
-        n = math.hypot(t, float(np.linalg.norm(u)))
+        n = math.hypot(t, float(length(u)))
         if n == 0.0:
             raise DomainError("cannot normalize the zero lift direction")
         return cls(t / n, u / n)
@@ -147,7 +148,7 @@ def zonotope_polygon_2d(mu: EmpiricalMeasure) -> Polygon2D:
         raise WrongDimension(f"zonotope polygon is defined for dimension 2, not {mu.dim}")
     gens = mu.weights[:, None] * mu.points
     scale = float(np.abs(gens).max()) if gens.size else 0.0
-    keep = np.linalg.norm(gens, axis=1) > _NULL_GENERATOR * scale
+    keep = length(gens, axis=1) > _NULL_GENERATOR * scale
     gens = gens[keep]
     if gens.shape[0] == 0:
         return Polygon2D(np.zeros((1, 2)))

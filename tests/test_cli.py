@@ -269,6 +269,17 @@ class TestSupportCommand:
             2.5 / np.sqrt(17.0), rel=1e-12
         )
 
+    @pytest.mark.parametrize("k", [700, -700])
+    @pytest.mark.parametrize("alpha", [[], ["--alpha", "0.75"]])
+    def test_direction_normalizes_at_any_scale(self, capsys, square_csv, k, alpha):
+        # 2^k (0.6, 0.8) is about 1e+-211: squaring its entries would overflow
+        # or underflow; a power of two keeps them exactly proportional
+        direction = f"{0.6 * 2.0**k!r},{0.8 * 2.0**k!r}"
+        ref = run_cli(capsys, "support", "--measure", square_csv, "--direction", "0.6,0.8", *alpha)
+        got = run_cli(capsys, "support", "--measure", square_csv, "--direction", direction, *alpha)
+        assert got == ref
+        assert ref[0] == 0 and ref[2] == ""
+
     @pytest.mark.parametrize("t", ["inf", "-inf"])
     def test_infinite_lift_t_is_named(self, capsys, square_csv, t):
         code, out, err = run_cli(capsys, "support", "--measure", square_csv,

@@ -87,16 +87,23 @@ def test_verdicts_do_not_depend_on_the_units():
         assert all(verdicts[1].values()), suite
 
 
-def test_theorem1_reflection_catches_a_shift_at_a_tiny_scale(monkeypatch):
-    mu = _cloud(1e-10)
+def _reflection_with_a_shift(monkeypatch, mu):
     shift = 1e-6 * mu.radius
 
     def shifted(measure, query):
         return support_trimmed(measure, query) + shift
 
     monkeypatch.setattr("liftzonoid.verify.support_trimmed", shifted)
-    report = run_suite("theorem1", measure=mu, seed=1)
-    assert not _by_name(report)["centered-reflection"]["passed"]
+    return _by_name(run_suite("theorem1", measure=mu, seed=1))["centered-reflection"]
+
+
+def test_theorem1_reflection_catches_a_shift_at_a_tiny_scale(monkeypatch):
+    assert not _reflection_with_a_shift(monkeypatch, _cloud(1e-10))["passed"]
+
+
+def test_theorem1_reflection_catches_a_shift_past_squared_overflow(monkeypatch):
+    # |mean|^2 overflows at 1e200; a reach of inf would divide every error to 0
+    assert not _reflection_with_a_shift(monkeypatch, _cloud(1e200))["passed"]
 
 
 def test_theorem1_farthest_atom_probes_below_its_weight():
