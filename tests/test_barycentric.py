@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from liftzonoid import (
     BarycentricCoords,
     CoordKind,
-    DegenerateMeasure,
     Direction,
     DomainError,
     EmpiricalMeasure,
@@ -30,7 +29,6 @@ from liftzonoid import (
     represent,
     support_trimmed,
     trimmed_boundary_point,
-    zonoid_depth,
     ZeroMass,
 )
 
@@ -116,18 +114,6 @@ class TestCoordsFromPoint:
             coords_from_point(std2, [0.0, 0.0], CoordKind.DEPTH)
         with pytest.raises(MeanPoint):
             coords_from_point(square, [0.0, 0.0], CoordKind.OFFSET)
-
-    def test_mean_of_a_flat_cloud(self):
-        # represent runs the mean test before the depth LP's span check, so
-        # three collinear atoms answer at their mean but nowhere else; the
-        # depth in the affine hull (ROADMAP item 2) will revisit all three
-        flat = EmpiricalMeasure.uniform(np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]))
-        rep = represent(flat, [1.0, 1.0])
-        assert rep.halfspace.is_whole_space and rep.alpha == 1.0
-        with pytest.raises(DegenerateMeasure):
-            zonoid_depth(flat, [1.0, 1.0])
-        with pytest.raises(MeanPoint):
-            coords_from_point(flat, [1.0, 1.0], CoordKind.DEPTH)
 
     def test_gaussian_mean_is_the_whitened_mean(self):
         # factor 1e-11 I: x is 5e-11 from the mean but 5 in whitened units,

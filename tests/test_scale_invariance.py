@@ -16,10 +16,14 @@ import numpy as np
 import pytest
 
 from liftzonoid import (
+    CoordKind,
+    DegenerateMeasure,
     DepthStatus,
     EmpiricalMeasure,
     GaussianMeasure,
+    MeanPoint,
     Tolerances,
+    coords_from_point,
     gaussian_depth,
     gaussian_represent,
     represent,
@@ -96,11 +100,17 @@ def test_hull_vertex_stays_on_the_boundary_when_shifted(shift):
 
 def test_represent_at_the_mean_of_a_flat_cloud_is_the_whole_space():
     # represent tests the mean window itself, before the depth LP's span
-    # check would reject the collinear atoms
+    # check would reject the collinear atoms; zonoid_depth checks the span
+    # first, and coords_from_point calls the whole space the mean. The
+    # depth in the affine hull (ROADMAP item 2) will revisit all three
     mu = EmpiricalMeasure.uniform(np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]))
     rep = represent(mu, [1.0, 1.0])
     assert rep.halfspace.is_whole_space
     assert rep.alpha == 1.0 and rep.unique
+    with pytest.raises(DegenerateMeasure):
+        zonoid_depth(mu, [1.0, 1.0])
+    with pytest.raises(MeanPoint):
+        coords_from_point(mu, [1.0, 1.0], CoordKind.DEPTH)
 
 
 def test_tolerances_hold_only_the_shared_thresholds():
